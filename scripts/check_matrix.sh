@@ -5,8 +5,12 @@
 # matrix never disturbs an existing build/ directory.
 #
 # usage: scripts/check_matrix.sh [--fuzz-smoke] [--serve-smoke]
-#            [--shard-smoke] [tree ...]
+#            [--shard-smoke] [--shuffle] [tree ...]
 #   tree: any of plain, asan, tsan (default: all three)
+#   --shuffle: run each tree's ctest in random order, every test up to
+#       3 times (`--schedule-random --repeat until-fail:3`), so a test
+#       that only passes because of how ctest happens to order or
+#       overlap tests (a shared scratch path, say) fails here
 #   --fuzz-smoke: after the asan tree passes, replay a short
 #       stellar_fuzz soak (200 iterations, seed 1) inside it, so the
 #       hostile-input invariant is checked under ASan+UBSan on every
@@ -40,6 +44,7 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 fuzz_smoke=0
 serve_smoke=0
 shard_smoke=0
+ctest_order=()
 
 # Split a small sweep across 4 shard scans in an already-built tree,
 # merge the records files, and require byte-identity with the
@@ -140,10 +145,12 @@ build_and_test() {
     echo "==== [${name}] ctest ===="
     case "${name}" in
     tsan)
-        (cd "${dir}" && ctest -L concurrency --output-on-failure -j "${jobs}") || return 1
+        (cd "${dir}" && ctest -L concurrency --output-on-failure -j "${jobs}" \
+            ${ctest_order[@]+"${ctest_order[@]}"}) || return 1
         ;;
     *)
-        (cd "${dir}" && ctest --output-on-failure -j "${jobs}") || return 1
+        (cd "${dir}" && ctest --output-on-failure -j "${jobs}" \
+            ${ctest_order[@]+"${ctest_order[@]}"}) || return 1
         ;;
     esac
     if [ "${name}" = asan ] && [ "${fuzz_smoke}" -eq 1 ]; then
@@ -168,9 +175,10 @@ for arg in "$@"; do
     --fuzz-smoke) fuzz_smoke=1 ;;
     --serve-smoke) serve_smoke=1 ;;
     --shard-smoke) shard_smoke=1 ;;
+    --shuffle) ctest_order=(--schedule-random --repeat until-fail:3) ;;
     plain | asan | tsan) trees+=("${arg}") ;;
     *)
-        echo "unknown argument '${arg}' (expected --fuzz-smoke, --serve-smoke, --shard-smoke, plain, asan, or tsan)" >&2
+        echo "unknown argument '${arg}' (expected --fuzz-smoke, --serve-smoke, --shard-smoke, --shuffle, plain, asan, or tsan)" >&2
         exit 1
         ;;
     esac

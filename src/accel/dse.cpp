@@ -225,6 +225,7 @@ exploreDataflows(const func::FunctionalSpec &functional,
         std::vector<Ranked> heap;
         heap.reserve(std::min<std::size_t>(options.analyticTopK, 4096));
         std::size_t scored = 0;
+        Clock::duration analytic_time{};
         dataflow::forEachTransform(
                 functional, options.enumerate,
                 [&](const dataflow::EnumeratedTransform &item) {
@@ -235,6 +236,7 @@ exploreDataflows(const func::FunctionalSpec &functional,
                         local.prunedEarly++;
                         return true;
                     }
+                    auto score_start = Clock::now();
                     auto analytic = cost_model.score(item.transform);
                     scored++;
                     Ranked ranked{analytic.saturated, analytic.score,
@@ -247,6 +249,7 @@ exploreDataflows(const func::FunctionalSpec &functional,
                         heap.back() = std::move(ranked);
                         std::push_heap(heap.begin(), heap.end(), better);
                     }
+                    analytic_time += Clock::now() - score_start;
                     return true;
                 },
                 &local.enumeration);
@@ -265,11 +268,12 @@ exploreDataflows(const func::FunctionalSpec &functional,
         work.reserve(heap.size());
         for (auto &ranked : heap)
             work.emplace_back(ranked.index, std::move(ranked.transform));
-        local.enumerateMs = msSince(enumerate_start);
-        // The tier is fused into the scan; report the same wall for
-        // both phases (comparisons filter timing lines anyway).
-        local.analyticMs = local.analyticRanked > 0 ? local.enumerateMs
-                                                    : 0.0;
+        // The tier is fused into the scan: its scoring + heap time is
+        // summed per candidate, and the scan keeps the rest of the wall.
+        local.analyticMs =
+                std::chrono::duration<double, std::milli>(analytic_time)
+                        .count();
+        local.enumerateMs = msSince(enumerate_start) - local.analyticMs;
     } else {
     auto enumerate_start = Clock::now();
     auto transforms = dataflow::enumerateTransforms(

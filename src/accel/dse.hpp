@@ -175,9 +175,10 @@ struct DseOptions
      * and the bounded top-K heap is the only O(K) state — hop-4-scale
      * walks (1e8 codes) become feasible under `enumerate.limit`. The
      * streamed survivor sequence is byte-identical to the materialized
-     * scan, so rankings and counters are unchanged; `enumerateMs` then
-     * covers the fused enumerate+score phase and `analyticMs` mirrors
-     * it. Set false to force the materialized two-phase path (the
+     * scan, so rankings and counters are unchanged; `analyticMs` then
+     * sums the per-candidate scoring + heap time inside the fused
+     * phase and `enumerateMs` is the rest of its wall (the scan's own
+     * time). Set false to force the materialized two-phase path (the
      * differential tests compare both).
      */
     bool streamEnumeration = true;

@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -126,12 +127,14 @@ struct Geometry
 {
     int n = 0;
     std::int64_t minCoeff = 0;
+    std::int64_t maxCoeff = 0;
     std::int64_t range = 0;
     std::int64_t total = 0;    //!< range^(n^2)
     std::int64_t rowBlock = 0; //!< range^n (one row's digit base)
     int spatialRows = 0;       //!< n - 1
     bool canonical = false;    //!< orbit skipping active
     std::int64_t cap = 0;      //!< max canonical spatial block value
+    std::int64_t runTop = 0;   //!< last row-0 block of a canonical run
 };
 
 Geometry
@@ -140,6 +143,7 @@ geometryFor(int n, const EnumerateOptions &options)
     Geometry g;
     g.n = n;
     g.minCoeff = options.minCoeff;
+    g.maxCoeff = options.maxCoeff;
     require(options.minCoeff < options.maxCoeff,
             "coefficient range must span at least two values");
     // Overflow-safe span: real span fits in uint64 whenever min < max.
@@ -172,6 +176,7 @@ geometryFor(int n, const EnumerateOptions &options)
                   (symmetric || g.spatialRows >= 2);
     g.cap = (g.canonical && symmetric) ? (g.rowBlock - 1) / 2
                                        : g.rowBlock - 1;
+    g.runTop = g.canonical ? g.cap : g.rowBlock - 1;
     return g;
 }
 
@@ -247,103 +252,240 @@ nextCanonical(const Geometry &g, std::int64_t code)
     return out;
 }
 
+/** The matrix `code` encodes: cell (r, c) is digit r*n + c. */
+IntMatrix
+matrixOf(const Geometry &g, std::int64_t code)
+{
+    IntMatrix m(g.n, g.n);
+    for (int r = 0; r < g.n; r++) {
+        for (int c = 0; c < g.n; c++) {
+            m.at(r, c) = g.minCoeff + code % g.range;
+            code /= g.range;
+        }
+    }
+    return m;
+}
+
+/** Hash for dedup signatures; the sets only test membership. */
+struct SignatureHash
+{
+    std::size_t operator()(const std::vector<std::int64_t> &sig) const
+    {
+        std::uint64_t h = 0x9e3779b97f4a7c15ull ^ sig.size();
+        for (std::int64_t v : sig) {
+            h ^= std::uint64_t(v) + 0x9e3779b97f4a7c15ull + (h << 6) +
+                 (h >> 2);
+        }
+        return std::size_t(h);
+    }
+};
+
+using SignatureSet =
+        std::unordered_set<std::vector<std::int64_t>, SignatureHash>;
+
 /**
- * Per-chunk scan scratch. Decodes into a flat cell array, computes the
- * determinant in closed form (n <= 4), and builds signatures into
- * reused buffers — the hot loop allocates only for survivors.
+ * Per-chunk scan scratch, organised around *runs*: the codes
+ * `base + b` for b in [first row-0 block, runTop] share rows 1..n-1, so
+ * they share the time row, the hops of spatial rows 1..n-2 and the
+ * cofactors of row 0. `loadRun` evaluates those once; when the time row
+ * is not causal, the fixed hops already exceed the limit, or every
+ * cofactor is zero (det = 0 whatever row 0 is), no code of the run can
+ * survive. A live run is walked with row 0 as an odometer that carries
+ * its coefficients and its displacement along every recurrence, so a
+ * code costs one dot product for the determinant and one compare per
+ * recurrence; only survivors build a signature.
  */
 struct Scanner
 {
     const Geometry &g;
-    const std::vector<func::Recurrence> &recurrences;
     const EnumerateOptions &options;
-    std::array<std::int64_t, 16> cells{};
-    std::vector<IntVec> columns;       //!< per-spatial-axis |st|, reused
-    std::vector<std::int64_t> times;   //!< per-recurrence dt, reused
+    std::size_t recs = 0;
+    std::vector<std::int64_t> diffs; //!< recurrence k's diff at [k*n]
+    std::array<std::int64_t, 16> cells{}; //!< rows 1..n-1 of the run
+    std::array<std::int64_t, 4> cofactor{}; //!< row 0's cofactors
+    std::vector<std::int64_t> fixedHops; //!< per recurrence, rows 1..n-2
+    std::vector<std::int64_t> spatial;   //!< |row r·diff_k| at [r*recs+k]
+    std::vector<std::int64_t> times;     //!< per-recurrence dt
+    // Row-0 odometer.
+    std::array<std::int64_t, 4> row0{};
+    std::vector<std::int64_t> row0Dot; //!< row0·diff_k
+    std::array<int, 3> order{};         //!< spatial axes, sorted
     std::vector<std::int64_t> signature;
 
     Scanner(const Geometry &geometry,
-            const std::vector<func::Recurrence> &recs,
+            const std::vector<func::Recurrence> &recurrences,
             const EnumerateOptions &opts)
-        : g(geometry), recurrences(recs), options(opts)
+        : g(geometry), options(opts), recs(recurrences.size())
     {
-        columns.assign(std::size_t(g.n - 1 > 0 ? g.n - 1 : 0),
-                       IntVec(recs.size(), 0));
-        times.assign(recs.size(), 0);
+        for (const auto &rec : recurrences)
+            diffs.insert(diffs.end(), rec.diff.begin(), rec.diff.end());
+        fixedHops.assign(recs, 0);
+        spatial.assign(std::size_t(g.n) * recs, 0);
+        times.assign(recs, 0);
+        row0Dot.assign(recs, 0);
     }
 
-    /** Decode + filter `code`; true when it survives (signature set). */
-    bool decode(std::int64_t code)
+    /**
+     * Decode rows 1..n-1 of `code`'s run and check what they fix;
+     * false when no code of the run can survive.
+     */
+    bool loadRun(std::int64_t code)
     {
         const int n = g.n;
-        std::int64_t rest = code;
-        for (int cell = 0; cell < n * n; cell++) {
+        std::int64_t rest = code / g.rowBlock;
+        for (int cell = n; cell < n * n; cell++) {
             cells[std::size_t(cell)] = g.minCoeff + rest % g.range;
             rest /= g.range;
         }
-        if (determinant() == 0)
-            return false;
-
-        const std::size_t recs = recurrences.size();
         for (std::size_t k = 0; k < recs; k++) {
-            const auto &diff = recurrences[k].diff;
-            std::int64_t dt = 0;
+            const std::int64_t *diff = diffs.data() + k * std::size_t(n);
             std::int64_t hops = 0;
-            for (int r = 0; r < n; r++) {
-                const std::int64_t *row =
-                        cells.data() + std::size_t(r) * std::size_t(n);
-                std::int64_t v = 0;
-                for (int c = 0; c < n; c++)
-                    v += row[c] * diff[std::size_t(c)];
+            for (int r = 1; r < n; r++) {
+                std::int64_t v = dot(rowAt(r), diff);
                 if (r == n - 1) {
-                    dt = v;
+                    if (v < 0 || (v == 0 && !options.allowBroadcast))
+                        return false;
+                    times[k] = v;
                 } else {
                     std::int64_t av = v < 0 ? -v : v;
-                    columns[std::size_t(r)][k] = av;
+                    spatial[std::size_t(r) * recs + k] = av;
                     hops += av;
                 }
             }
-            if (dt < 0 || (dt == 0 && !options.allowBroadcast))
-                return false;
+            // Row 0 can only add hops (n == 1 has no spatial rows and
+            // still compares 0 against the limit, as the filter does).
             if (hops > options.maxHopLength)
                 return false;
-            times[k] = dt;
+            fixedHops[k] = hops;
         }
+        computeCofactors();
+        for (int c = 0; c < n; c++)
+            if (cofactor[std::size_t(c)] != 0)
+                return true;
+        return false;
+    }
 
-        signature.clear();
-        if (recs != 0) {
-            std::sort(columns.begin(), columns.end());
-            for (const auto &column : columns)
-                signature.insert(signature.end(), column.begin(),
-                                 column.end());
-            signature.insert(signature.end(), times.begin(), times.end());
+    /** Point the row-0 odometer at `code`'s row-0 block. */
+    void startRow0(std::int64_t code)
+    {
+        const int n = g.n;
+        std::int64_t rest = code % g.rowBlock;
+        for (int c = 0; c < n; c++) {
+            row0[std::size_t(c)] = g.minCoeff + rest % g.range;
+            rest /= g.range;
+        }
+        for (std::size_t k = 0; k < recs; k++)
+            row0Dot[k] = dot(row0.data(), diffs.data() + k * std::size_t(n));
+    }
+
+    /** Advance row 0 to the next block value. */
+    void stepRow0()
+    {
+        const int n = g.n;
+        for (int c = 0; c < n; c++) {
+            std::int64_t &v = row0[std::size_t(c)];
+            const std::int64_t delta = v < g.maxCoeff ? 1 : 1 - g.range;
+            v += delta;
+            const std::int64_t *diff = diffs.data() + std::size_t(c);
+            for (std::size_t k = 0; k < recs; k++)
+                row0Dot[k] += delta * diff[k * std::size_t(n)];
+            if (delta == 1)
+                return;
+        }
+    }
+
+    /** The filters for the odometer's row 0; true when it survives. */
+    bool row0Survives() const
+    {
+        const int n = g.n;
+        std::int64_t det = 0;
+        for (int c = 0; c < n; c++)
+            det += row0[std::size_t(c)] * cofactor[std::size_t(c)];
+        if (det == 0)
+            return false;
+        if (n == 1) {
+            // The only row is the time row.
+            for (std::size_t k = 0; k < recs; k++) {
+                std::int64_t dt = row0Dot[k];
+                if (dt < 0 || (dt == 0 && !options.allowBroadcast))
+                    return false;
+            }
+            return true;
+        }
+        for (std::size_t k = 0; k < recs; k++) {
+            std::int64_t v = row0Dot[k];
+            if (fixedHops[k] + (v < 0 ? -v : v) > options.maxHopLength)
+                return false;
         }
         return true;
     }
 
-    IntMatrix materialize() const
+    /**
+     * Canonical signature modulo spatial-axis permutation and
+     * reflection: per-axis columns of |displacement|, sorted, then the
+     * time displacements.
+     */
+    void buildSignature()
     {
-        IntMatrix m(g.n, g.n);
-        for (int r = 0; r < g.n; r++)
-            for (int c = 0; c < g.n; c++)
-                m.at(r, c) = cells[std::size_t(r) * std::size_t(g.n) +
-                                   std::size_t(c)];
-        return m;
+        signature.clear();
+        if (recs == 0)
+            return;
+        const int axes = g.n - 1;
+        if (axes == 0) {
+            signature.assign(row0Dot.begin(), row0Dot.end());
+            return;
+        }
+        for (std::size_t k = 0; k < recs; k++) {
+            std::int64_t v = row0Dot[k];
+            spatial[k] = v < 0 ? -v : v;
+        }
+        for (int a = 0; a < axes; a++)
+            order[std::size_t(a)] = a;
+        std::sort(order.begin(), order.begin() + axes, [&](int x, int y) {
+            const std::int64_t *cx = spatial.data() + std::size_t(x) * recs;
+            const std::int64_t *cy = spatial.data() + std::size_t(y) * recs;
+            return std::lexicographical_compare(cx, cx + recs, cy, cy + recs);
+        });
+        for (int a = 0; a < axes; a++) {
+            const std::int64_t *column =
+                    spatial.data() + std::size_t(order[std::size_t(a)]) * recs;
+            signature.insert(signature.end(), column, column + recs);
+        }
+        signature.insert(signature.end(), times.begin(), times.end());
     }
 
   private:
-    std::int64_t determinant() const
+    const std::int64_t *rowAt(int r) const
+    {
+        return cells.data() + std::size_t(r) * std::size_t(g.n);
+    }
+
+    std::int64_t dot(const std::int64_t *row, const std::int64_t *diff) const
+    {
+        std::int64_t v = 0;
+        for (int c = 0; c < g.n; c++)
+            v += row[c] * diff[c];
+        return v;
+    }
+
+    /** cofactor[c] = (-1)^c * minor(0, c) over rows 1..n-1, so that
+     *  det = row0 · cofactor (the closed-form expansion along row 0). */
+    void computeCofactors()
     {
         const std::int64_t *a = cells.data();
         switch (g.n) {
         case 1:
-            return a[0];
+            cofactor[0] = 1;
+            break;
         case 2:
-            return a[0] * a[3] - a[1] * a[2];
+            cofactor[0] = a[3];
+            cofactor[1] = -a[2];
+            break;
         case 3:
-            return a[0] * (a[4] * a[8] - a[5] * a[7]) -
-                   a[1] * (a[3] * a[8] - a[5] * a[6]) +
-                   a[2] * (a[3] * a[7] - a[4] * a[6]);
+            cofactor[0] = a[4] * a[8] - a[5] * a[7];
+            cofactor[1] = -(a[3] * a[8] - a[5] * a[6]);
+            cofactor[2] = a[3] * a[7] - a[4] * a[6];
+            break;
         default: {
             auto det3 = [&](int c1, int c2, int c3) {
                 return a[4 + c1] * (a[8 + c2] * a[12 + c3] -
@@ -353,8 +495,11 @@ struct Scanner
                        a[4 + c3] * (a[8 + c1] * a[12 + c2] -
                                     a[8 + c2] * a[12 + c1]);
             };
-            return a[0] * det3(1, 2, 3) - a[1] * det3(0, 2, 3) +
-                   a[2] * det3(0, 1, 3) - a[3] * det3(0, 1, 2);
+            cofactor[0] = det3(1, 2, 3);
+            cofactor[1] = -det3(0, 2, 3);
+            cofactor[2] = det3(0, 1, 3);
+            cofactor[3] = -det3(0, 1, 2);
+            break;
         }
         }
     }
@@ -367,8 +512,7 @@ struct Scanner
  */
 struct ChunkSurvivor
 {
-    std::int64_t code = 0;
-    IntMatrix matrix;
+    std::int64_t code = 0; //!< decoded into a matrix only if yielded
     std::vector<std::int64_t> signature;
     std::int64_t examinedAfter = 0; //!< codes of this chunk covered
     std::int64_t decodedAfter = 0;
@@ -387,9 +531,43 @@ struct ChunkResult
 };
 
 /**
- * Scan [lo, hi), skipping non-canonical codes, dedup-ing locally by
- * signature (keeping the first code of each — exactly what the global
- * in-order merge keeps).
+ * Chunk-local dedup keyed by position in the chunk's survivor list, so
+ * each signature is stored once; a candidate's signature is looked up
+ * directly (heterogeneous lookup).
+ */
+struct SurvivorKey
+{
+    using is_transparent = void;
+    const std::vector<ChunkSurvivor> *survivors = nullptr;
+
+    const std::vector<std::int64_t> &sig(std::size_t i) const
+    {
+        return (*survivors)[i].signature;
+    }
+    const std::vector<std::int64_t> &
+    sig(const std::vector<std::int64_t> &signature) const
+    {
+        return signature;
+    }
+
+    template <typename Key>
+    std::size_t operator()(const Key &key) const
+    {
+        return SignatureHash{}(sig(key));
+    }
+    template <typename A, typename B>
+    bool operator()(const A &a, const B &b) const
+    {
+        return sig(a) == sig(b);
+    }
+};
+
+/**
+ * Scan [lo, hi) run by run, skipping non-canonical codes, dedup-ing
+ * locally by signature (keeping the first code of each — exactly what
+ * the global in-order merge keeps). A rejected run adds its length,
+ * clipped to the chunk, to `decoded` and `rejected` at once; no
+ * survivor lies inside it, so every survivor's snapshot stays exact.
  */
 ChunkResult
 scanChunk(Scanner &scanner, const Geometry &g, std::int64_t lo,
@@ -398,30 +576,43 @@ scanChunk(Scanner &scanner, const Geometry &g, std::int64_t lo,
     ChunkResult res;
     res.lo = lo;
     res.hi = hi;
-    std::set<std::vector<std::int64_t>> local;
+    const SurvivorKey key{&res.survivors};
+    std::unordered_set<std::size_t, SurvivorKey, SurvivorKey> local(0, key,
+                                                                     key);
     std::int64_t code = nextCanonical(g, lo);
     while (code < hi) {
-        res.decoded++;
-        if (scanner.decode(code)) {
-            if (local.insert(scanner.signature).second) {
+        const std::int64_t end = std::min(
+                hi, code - code % g.rowBlock + g.runTop + 1);
+        if (!scanner.loadRun(code)) {
+            res.decoded += end - code;
+            res.rejected += end - code;
+        } else {
+            scanner.startRow0(code);
+            for (; code < end; code++, scanner.stepRow0()) {
+                res.decoded++;
+                if (!scanner.row0Survives()) {
+                    res.rejected++;
+                    continue;
+                }
+                scanner.buildSignature();
+                if (local.find(scanner.signature) != local.end()) {
+                    res.duplicates++;
+                    continue;
+                }
                 ChunkSurvivor s;
                 s.code = code;
-                s.matrix = scanner.materialize();
                 s.signature = scanner.signature;
                 s.examinedAfter = code - lo + 1;
                 s.decodedAfter = res.decoded;
                 s.rejectedAfter = res.rejected;
                 s.duplicatesAfter = res.duplicates;
                 res.survivors.push_back(std::move(s));
-            } else {
-                res.duplicates++;
+                local.insert(res.survivors.size() - 1);
             }
-        } else {
-            res.rejected++;
         }
-        if (code + 1 >= hi)
+        if (end >= hi)
             break;
-        code = nextCanonical(g, code + 1);
+        code = nextCanonical(g, end);
     }
     return res;
 }
@@ -492,7 +683,7 @@ struct TransformStream::Impl
     bool haveCurrent = false;
     bool done = false;
 
-    std::set<std::vector<std::int64_t>> signatures;
+    SignatureSet signatures;
     // Totals over fully consumed chunks; merge-level duplicates are
     // tracked separately because they belong to the consuming walk.
     std::int64_t priorExamined = 0;
@@ -587,7 +778,7 @@ struct TransformStream::Impl
                 out.index = std::size_t(stats.yielded);
                 out.signature = s.signature;
                 out.transform = SpaceTimeTransform(
-                        std::move(s.matrix),
+                        matrixOf(g, s.code),
                         "enumerated-" + std::to_string(out.index));
                 stats.yielded++;
                 lastExamined = priorExamined + s.examinedAfter;
@@ -815,16 +1006,15 @@ decodeCandidate(const func::FunctionalSpec &spec,
                 const EnumerateOptions &options, std::int64_t code,
                 IntMatrix *matrix, std::vector<std::int64_t> *signature)
 {
-    Geometry g = geometryFor(checkedIndices(spec),
-                             options);
-    auto recurrences = spec.recurrences();
-    Scanner scanner(g, recurrences, options);
-    if (!scanner.decode(code))
+    Geometry g = geometryFor(checkedIndices(spec), options);
+    auto candidate = candidateAt(code, g.n, g.minCoeff, g.range,
+                                 spec.recurrences(), options);
+    if (!candidate)
         return false;
     if (matrix)
-        *matrix = scanner.materialize();
+        *matrix = std::move(candidate->matrix);
     if (signature)
-        *signature = scanner.signature;
+        *signature = std::move(candidate->signature);
     return true;
 }
 

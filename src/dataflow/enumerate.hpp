@@ -17,9 +17,17 @@
  * candidates as the scan produces them with O(K) live state. Most
  * coefficient codes are sign/permutation-orbit duplicates of a smaller
  * code; the scan rejects those from coefficient structure alone (before
- * decode) and jumps whole non-canonical regions in O(1). See
- * docs/PARALLEL_DSE.md for the byte-identity contract and the orbit
- * argument.
+ * decode) and jumps whole non-canonical regions in O(1).
+ *
+ * The canonical codes that remain are walked in *runs*: row 0 is the
+ * least-significant digit of a code, so consecutive codes share rows
+ * 1..n-1 — the time row, the other spatial rows and hence row 0's
+ * cofactors. The scan checks causality, the fixed rows' hops and the
+ * cofactors once per run and counts a run that fails as rejected in
+ * O(1); a live run costs one determinant dot product and one hop
+ * compare per recurrence per code. See docs/PARALLEL_DSE.md for the
+ * byte-identity contract and the orbit argument, and docs/PERF.md
+ * (Layers 7 and 9) for the scan's cost.
  */
 
 #ifndef STELLAR_DATAFLOW_ENUMERATE_HPP
@@ -98,7 +106,7 @@ struct EnumerateStats
     std::int64_t codesTotal = 0;    //!< range^(n^2), the full space
     std::int64_t codesExamined = 0; //!< codes covered before the stop
     std::int64_t orbitSkipped = 0;  //!< skipped without decoding
-    std::int64_t decoded = 0;       //!< decoded and filtered
+    std::int64_t decoded = 0;       //!< filtered (incl. whole runs)
     std::int64_t rejected = 0;      //!< failed invertibility/causality/hops
     std::int64_t duplicates = 0;    //!< filtered by signature dedup
     std::int64_t yielded = 0;       //!< survivors produced
@@ -200,7 +208,8 @@ bool codeIsOrbitCanonical(const func::FunctionalSpec &spec,
 /**
  * Decode one coefficient code and run the per-candidate filters.
  * Returns true when the code survives; fills `matrix`/`signature` when
- * non-null. Exposed for the fuzz harness's orbit oracle.
+ * non-null. It runs the oracle's per-code path, not the scan's run
+ * walk, so the fuzz harness and the tests use it as a reference.
  */
 bool decodeCandidate(const func::FunctionalSpec &spec,
                      const EnumerateOptions &options, std::int64_t code,

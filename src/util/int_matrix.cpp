@@ -1,5 +1,6 @@
 #include "util/int_matrix.hpp"
 
+#include <array>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -128,44 +129,102 @@ IntMatrix::transpose() const
     return out;
 }
 
+namespace
+{
+
+/** Orders whose expansion scratch fits this many cells stay on the
+ *  stack (every order up to 9). */
+constexpr std::size_t kStackScratch = 256;
+
+/** Cells needed to expand an order-n minor: the minor itself and, below
+ *  it, every nested minor. */
+std::size_t
+scratchCells(int n)
+{
+    std::size_t cells = 0;
+    for (std::size_t k = 1; k < std::size_t(n); k++)
+        cells += k * k;
+    return cells;
+}
+
+/** Copy the minor of the order-n matrix `a` without (skip_row,
+ *  skip_col) into `out`, row-major. */
+void
+copyMinor(const std::int64_t *a, int n, int skip_row, int skip_col,
+          std::int64_t *out)
+{
+    for (int r = 0; r < n; r++) {
+        if (r == skip_row)
+            continue;
+        for (int c = 0; c < n; c++)
+            if (c != skip_col)
+                *out++ = a[r * n + c];
+    }
+}
+
+/**
+ * Determinant of the order-n row-major matrix `a` by cofactor expansion
+ * along row 0, skipping zero entries. The nested minors live in
+ * `scratch` (scratchCells(n) cells), not on the heap.
+ */
+std::int64_t
+expandDet(const std::int64_t *a, int n, std::int64_t *scratch)
+{
+    if (n == 0)
+        return 1;
+    if (n == 1)
+        return a[0];
+    if (n == 2)
+        return a[0] * a[3] - a[1] * a[2];
+    std::int64_t *sub = scratch;
+    std::int64_t *rest = scratch + std::size_t(n - 1) * std::size_t(n - 1);
+    std::int64_t det = 0;
+    for (int c = 0; c < n; c++) {
+        if (a[c] == 0)
+            continue;
+        std::int64_t sign = (c % 2 == 0) ? 1 : -1;
+        copyMinor(a, n, 0, c, sub);
+        det += sign * a[c] * expandDet(sub, n - 1, rest);
+    }
+    return det;
+}
+
+/** Run `fn(scratch)` with scratchCells(n) cells, on the stack when they
+ *  fit. */
+template <typename Fn>
+std::int64_t
+withScratch(int n, Fn fn)
+{
+    std::array<std::int64_t, kStackScratch> stack;
+    std::vector<std::int64_t> heap;
+    std::int64_t *scratch = stack.data();
+    if (scratchCells(n) > stack.size()) {
+        heap.resize(scratchCells(n));
+        scratch = heap.data();
+    }
+    return fn(scratch);
+}
+
+} // namespace
+
 std::int64_t
 IntMatrix::minorDet(int skip_row, int skip_col) const
 {
-    IntMatrix sub(rows_ - 1, cols_ - 1);
-    int sr = 0;
-    for (int r = 0; r < rows_; r++) {
-        if (r == skip_row)
-            continue;
-        int sc = 0;
-        for (int c = 0; c < cols_; c++) {
-            if (c == skip_col)
-                continue;
-            sub.at(sr, sc) = at(r, c);
-            sc++;
-        }
-        sr++;
-    }
-    return sub.determinant();
+    const int n = rows_;
+    return withScratch(n, [&](std::int64_t *scratch) {
+        copyMinor(data_.data(), n, skip_row, skip_col, scratch);
+        return expandDet(scratch, n - 1,
+                         scratch + std::size_t(n - 1) * std::size_t(n - 1));
+    });
 }
 
 std::int64_t
 IntMatrix::determinant() const
 {
     require(isSquare(), "determinant requires a square matrix");
-    if (rows_ == 0)
-        return 1;
-    if (rows_ == 1)
-        return at(0, 0);
-    if (rows_ == 2)
-        return at(0, 0) * at(1, 1) - at(0, 1) * at(1, 0);
-    std::int64_t det = 0;
-    for (int c = 0; c < cols_; c++) {
-        if (at(0, c) == 0)
-            continue;
-        std::int64_t sign = (c % 2 == 0) ? 1 : -1;
-        det += sign * at(0, c) * minorDet(0, c);
-    }
-    return det;
+    return withScratch(rows_, [&](std::int64_t *scratch) {
+        return expandDet(data_.data(), rows_, scratch);
+    });
 }
 
 bool

@@ -373,9 +373,11 @@ quote(const std::string &text)
 std::int64_t
 toInt64(const Value &value, const std::string &what)
 {
-    require(value.isNumber(),
-            what + " must be a number (at byte " +
-                    std::to_string(value.offset) + ")");
+    // Messages are built only on failure: this runs for every integer
+    // field of every request.
+    if (!value.isNumber())
+        fatal(what + " must be a number (at byte " +
+              std::to_string(value.offset) + ")");
     double d = value.number;
     // 2^63 is exactly representable as a double; INT64_MAX is not, and
     // inputs like "9223372036854775807" strtod-round up to exactly 2^63.
@@ -384,9 +386,9 @@ toInt64(const Value &value, const std::string &what)
     // -2^63 is exact and equals INT64_MIN, so the lower bound stays
     // inclusive.
     constexpr double kLimit = 9223372036854775808.0; // 2^63
-    require(d == std::floor(d) && d >= -kLimit && d < kLimit,
-            what + " must be an integer (at byte " +
-                    std::to_string(value.offset) + ")");
+    if (!(d == std::floor(d) && d >= -kLimit && d < kLimit))
+        fatal(what + " must be an integer (at byte " +
+              std::to_string(value.offset) + ")");
     return std::int64_t(d);
 }
 

@@ -59,6 +59,22 @@ invariant(bool cond, const std::string &msg)
         panic(msg);
 }
 
+/** Literal-message overloads: the std::string is built only when the
+ *  check fails, so hot accessors pay for the branch alone. */
+inline void
+require(bool cond, const char *msg)
+{
+    if (!cond)
+        fatal(msg);
+}
+
+inline void
+invariant(bool cond, const char *msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
 } // namespace stellar
 
 #endif // STELLAR_UTIL_LOGGING_HPP

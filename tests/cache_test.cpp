@@ -59,6 +59,8 @@
 #include "workloads/cache.hpp"
 #include "workloads/resnet.hpp"
 
+#include "temp_path.hpp"
+
 namespace stellar
 {
 namespace
@@ -826,26 +828,6 @@ TEST(CacheRunMany, ThrowAfterHitRunsEveryPointAtEveryThreadCount)
 // Disk-spill tier: the eviction cliff degrades to warm-disk, counters
 // stay exact, and damage degrades to re-synthesis — never to wrong data
 
-/** RAII temp spill directory. */
-class SpillDir
-{
-  public:
-    explicit SpillDir(const char *name)
-        : path_(std::filesystem::temp_directory_path() / name)
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-
-    ~SpillDir() { std::filesystem::remove_all(path_); }
-
-    std::string str() const { return path_.string(); }
-    const std::filesystem::path &path() const { return path_; }
-
-  private:
-    std::filesystem::path path_;
-};
-
 /** Exact binary hooks for the vector<int64> payloads the synthetic
  *  spill tests use. */
 const util::SpillHooks &
@@ -922,7 +904,7 @@ sameShardKeys(std::size_t n)
 
 TEST(CacheSpill, EvictSpillReloadCycleKeepsCountersExact)
 {
-    SpillDir dir("stellar_cache_spill_exact");
+    test_util::TempDir dir("stellar_cache_spill_exact");
     // The per-shard budget (total / kShardCount) fits exactly one
     // 2 KiB payload: the second same-shard insert must evict (and
     // therefore spill) the first.
@@ -959,7 +941,7 @@ TEST(CacheSpill, EvictSpillReloadCycleKeepsCountersExact)
 
 TEST(CacheSpill, CorruptSpillFilesAreSilentlyResynthesized)
 {
-    SpillDir dir("stellar_cache_spill_corrupt");
+    test_util::TempDir dir("stellar_cache_spill_corrupt");
     workloads::Cache cache(util::MemoCache::kShardCount * 3 * 1024);
     cache.setSpill(dir.str());
     auto keys = sameShardKeys(2);
@@ -995,7 +977,7 @@ TEST(CacheSpill, CorruptSpillFilesAreSilentlyResynthesized)
 
 TEST(CacheSpill, ZeroResidencyBudgetNeverSpills)
 {
-    SpillDir dir("stellar_cache_spill_zero");
+    test_util::TempDir dir("stellar_cache_spill_zero");
     workloads::Cache cache(0);
     cache.setSpill(dir.str());
     for (int k = 0; k < 6; k++)
@@ -1009,7 +991,7 @@ TEST(CacheSpill, ZeroResidencyBudgetNeverSpills)
 
 TEST(CacheSpill, DiskBudgetAgesOldestSpillFilesOut)
 {
-    SpillDir dir("stellar_cache_spill_budget");
+    test_util::TempDir dir("stellar_cache_spill_budget");
     workloads::Cache cache(util::MemoCache::kShardCount * 3 * 1024);
     // Disk budget holds ~2 spill files of ~2 KiB payload each.
     cache.setSpill(dir.str(), 5 * 1024);
@@ -1064,7 +1046,7 @@ TEST(CacheSpill, SixtyKNnzEvictionCliffDegradesToWarmDiskNotResynthesis)
     // warm disk: the repeat pass must beat that baseline hit rate and
     // serve bit-identical payloads.
     GlobalCacheSandbox sandbox;
-    SpillDir dir("stellar_cache_spill_cliff");
+    test_util::TempDir dir("stellar_cache_spill_cliff");
     auto &cache = workloads::Cache::global();
     const auto &profiles = sparse::outerSpaceSuite();
     const std::size_t n = profiles.size();
@@ -1145,7 +1127,7 @@ TEST(CacheConcurrency, SpillReloadStressKeepsCountersExact)
     // so evict-spill races reload-reinsert continuously. Counter
     // exactness (one hit or miss per lookup) and payload integrity are
     // the assertions; the `concurrency` ctest label brings TSan.
-    SpillDir dir("stellar_cache_spill_stress");
+    test_util::TempDir dir("stellar_cache_spill_stress");
     constexpr int kThreads = 8;
     constexpr int kOpsPerThread = 2000;
     constexpr int kKeySpace = 24;

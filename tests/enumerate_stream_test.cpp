@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "accel/dse.hpp"
@@ -414,6 +415,276 @@ TEST(EnumerateStream, FusedTierSkipsWhenSurvivorsFitInK)
     EXPECT_EQ(stats.analyticRanked, 0u);
     EXPECT_EQ(stats.analyticFiltered, 0u);
     EXPECT_EQ(stats.evaluated, stats.enumerated);
+}
+
+// ---------------------------------------------------------------------
+// Bulk accounting: the scan rejects whole runs of codes (rows 1..n-1
+// fixed, row 0 walking) at once. A brute-force walk that decodes every
+// orbit-canonical code on its own must reproduce the stream's stats and
+// every yield's (code, signature, *After) snapshot exactly — unsharded
+// and per shard, at 1 and 4 threads, and for limits that stop inside a
+// live run or just before a run the filters reject entirely.
+
+/** One canonical code's verdict under a fixed option set. */
+struct CodeOutcome
+{
+    std::int64_t code = 0;
+    bool survives = false;
+    std::vector<std::int64_t> signature;
+};
+
+struct ReferenceYield
+{
+    std::size_t outcome = 0; //!< position in the outcome list
+    std::int64_t code = 0;
+    std::vector<std::int64_t> signature;
+    std::int64_t examinedAfter = 0;
+    std::int64_t decodedAfter = 0;
+    std::int64_t rejectedAfter = 0;
+    std::int64_t duplicatesAfter = 0;
+};
+
+struct ReferenceScan
+{
+    std::vector<ReferenceYield> yields;
+    dataflow::EnumerateStats stats;
+};
+
+/** Every code of the space, decoded on its own. */
+std::vector<CodeOutcome>
+decodeEveryCode(const func::FunctionalSpec &spec,
+                const dataflow::EnumerateOptions &options)
+{
+    std::vector<CodeOutcome> out;
+    std::int64_t total = dataflow::detail::codeSpaceSize(spec, options);
+    for (std::int64_t code = 0; code < total; code++) {
+        CodeOutcome outcome;
+        outcome.code = code;
+        outcome.survives = dataflow::detail::decodeCandidate(
+                spec, options, code, nullptr, &outcome.signature);
+        out.push_back(std::move(outcome));
+    }
+    return out;
+}
+
+/** The codes the scan walks under `options`: the orbit-canonical ones. */
+std::vector<CodeOutcome>
+canonicalOnly(const func::FunctionalSpec &spec,
+              const dataflow::EnumerateOptions &options,
+              const std::vector<CodeOutcome> &every)
+{
+    std::vector<CodeOutcome> out;
+    for (const CodeOutcome &outcome : every)
+        if (dataflow::detail::codeIsOrbitCanonical(spec, options,
+                                                   outcome.code))
+            out.push_back(outcome);
+    return out;
+}
+
+/** The serial walk of codes [lo, hi): dedup by signature, stop at
+ *  `limit` yields with the stats of the last one. */
+ReferenceScan
+referenceWalk(const std::vector<CodeOutcome> &outcomes, std::int64_t total,
+              std::int64_t lo, std::int64_t hi, std::size_t limit)
+{
+    ReferenceScan ref;
+    ref.stats.codesTotal = total;
+    ref.stats.codesExamined = hi - lo;
+    std::set<std::vector<std::int64_t>> seen;
+    std::int64_t decoded = 0;
+    std::int64_t rejected = 0;
+    std::int64_t duplicates = 0;
+    for (std::size_t i = 0; i < outcomes.size(); i++) {
+        const CodeOutcome &outcome = outcomes[i];
+        if (outcome.code < lo || outcome.code >= hi)
+            continue;
+        decoded++;
+        if (!outcome.survives) {
+            rejected++;
+            continue;
+        }
+        if (!seen.insert(outcome.signature).second) {
+            duplicates++;
+            continue;
+        }
+        ref.yields.push_back({i, outcome.code, outcome.signature,
+                              outcome.code - lo + 1, decoded, rejected,
+                              duplicates});
+        if (ref.yields.size() >= limit) {
+            ref.stats.codesExamined = ref.yields.back().examinedAfter;
+            break;
+        }
+    }
+    const bool limited = !ref.yields.empty() && ref.yields.size() >= limit;
+    ref.stats.decoded = limited ? ref.yields.back().decodedAfter : decoded;
+    ref.stats.rejected = limited ? ref.yields.back().rejectedAfter
+                                 : rejected;
+    ref.stats.duplicates = limited ? ref.yields.back().duplicatesAfter
+                                   : duplicates;
+    ref.stats.yielded = std::int64_t(ref.yields.size());
+    ref.stats.orbitSkipped = ref.stats.codesExamined - ref.stats.decoded;
+    return ref;
+}
+
+void
+expectStreamEqualsReference(const func::FunctionalSpec &spec,
+                            const dataflow::EnumerateOptions &options,
+                            const ReferenceScan &ref)
+{
+    dataflow::TransformStream stream(spec, options);
+    dataflow::EnumeratedTransform item;
+    std::size_t count = 0;
+    while (stream.next(item)) {
+        ASSERT_LT(count, ref.yields.size()) << "extra yield";
+        const ReferenceYield &want = ref.yields[count];
+        ASSERT_EQ(item.code, want.code) << "yield " << count;
+        ASSERT_EQ(item.signature, want.signature) << "yield " << count;
+        ASSERT_EQ(item.examinedAfter, want.examinedAfter)
+                << "yield " << count;
+        ASSERT_EQ(item.decodedAfter, want.decodedAfter) << "yield " << count;
+        ASSERT_EQ(item.rejectedAfter, want.rejectedAfter)
+                << "yield " << count;
+        ASSERT_EQ(item.duplicatesAfter, want.duplicatesAfter)
+                << "yield " << count;
+        count++;
+    }
+    EXPECT_EQ(count, ref.yields.size());
+    expectSameStats(stream.stats(), ref.stats);
+}
+
+/**
+ * Limits whose last yield sits inside a live run (the next canonical
+ * code shares rows 1..n-1 with it) and just before a run whose every
+ * canonical code is rejected, as far as the space has them.
+ */
+std::vector<std::size_t>
+limitCuts(const std::vector<CodeOutcome> &outcomes, const ReferenceScan &ref,
+          std::int64_t row_block)
+{
+    std::vector<std::size_t> cuts{1};
+    bool live_found = false;
+    bool rejected_found = false;
+    for (std::size_t y = 0; y + 1 < ref.yields.size(); y++) {
+        std::size_t next = ref.yields[y].outcome + 1;
+        std::int64_t run = ref.yields[y].code / row_block;
+        std::int64_t next_run = outcomes[next].code / row_block;
+        if (next_run == run) {
+            if (!live_found)
+                cuts.push_back(y + 1);
+            live_found = true;
+            continue;
+        }
+        bool all_rejected = true;
+        for (std::size_t i = next;
+             i < outcomes.size() && outcomes[i].code / row_block == next_run;
+             i++)
+            all_rejected = all_rejected && !outcomes[i].survives;
+        if (all_rejected && !rejected_found)
+            cuts.push_back(y + 1);
+        rejected_found = rejected_found || all_rejected;
+        if (live_found && rejected_found)
+            break;
+    }
+    return cuts;
+}
+
+/** Run the whole grid for one spec and coefficient range. */
+void
+checkBulkAccounting(const func::FunctionalSpec &spec, std::int64_t min_coeff,
+                    std::int64_t max_coeff, std::vector<std::int64_t> hops)
+{
+    const int n = spec.numIndices();
+    std::int64_t row_block = 1;
+    for (int c = 0; c < n; c++)
+        row_block *= max_coeff - min_coeff + 1;
+    for (std::int64_t hop : hops) {
+        for (bool broadcast : {true, false}) {
+            dataflow::EnumerateOptions base;
+            base.minCoeff = min_coeff;
+            base.maxCoeff = max_coeff;
+            base.maxHopLength = hop;
+            base.allowBroadcast = broadcast;
+            base.limit = std::size_t(1) << 40;
+            // The filters do not depend on orbit skipping.
+            const auto every = decodeEveryCode(spec, base);
+            for (bool orbit : {true, false}) {
+                auto options = base;
+                options.orbitCanonical = orbit;
+                SCOPED_TRACE("coeff [" + std::to_string(min_coeff) + "," +
+                             std::to_string(max_coeff) + "] hop " +
+                             std::to_string(hop) +
+                             (broadcast ? "" : " no-broadcast") +
+                             (orbit ? "" : " no-orbit"));
+                auto outcomes = orbit ? canonicalOnly(spec, options, every)
+                                      : every;
+                std::int64_t total =
+                        dataflow::detail::codeSpaceSize(spec, options);
+                auto whole = referenceWalk(outcomes, total, 0, total,
+                                           options.limit);
+                for (std::size_t threads : {1u, 4u}) {
+                    SCOPED_TRACE("threads " + std::to_string(threads));
+                    options.threads = threads;
+                    expectStreamEqualsReference(spec, options, whole);
+                    for (std::size_t limit :
+                         limitCuts(outcomes, whole, row_block)) {
+                        SCOPED_TRACE("limit " + std::to_string(limit));
+                        auto cut = options;
+                        cut.limit = limit;
+                        expectStreamEqualsReference(
+                                spec, cut,
+                                referenceWalk(outcomes, total, 0, total,
+                                              limit));
+                    }
+                }
+                for (std::int64_t count = 1; count <= 5; count++) {
+                    for (std::int64_t index = 0; index < count; index++) {
+                        SCOPED_TRACE("shard " + std::to_string(index) +
+                                     "/" + std::to_string(count));
+                        auto shard = options;
+                        shard.shardIndex = index;
+                        shard.shardCount = count;
+                        shard.threads = (index + count) % 2 == 0 ? 1 : 4;
+                        expectStreamEqualsReference(
+                                spec, shard,
+                                referenceWalk(outcomes, total,
+                                              total * index / count,
+                                              total * (index + 1) / count,
+                                              shard.limit));
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(EnumerateStream, BulkAccountingMatchesBruteForceSmallSpaces)
+{
+    const std::int64_t ranges[][2] = {{-1, 1}, {-2, 2}, {-1, 2}};
+    for (const auto &range : ranges) {
+        {
+            SCOPED_TRACE("merge");
+            checkBulkAccounting(func::mergeSpec(), range[0], range[1],
+                                {0, 1, 2, 3});
+        }
+        SCOPED_TRACE("matadd");
+        checkBulkAccounting(func::matAddSpec(), range[0], range[1],
+                            {0, 1, 2, 3});
+    }
+    // Matmul at +-2 has 5^9 codes, too many to decode one by one here.
+    SCOPED_TRACE("matmul");
+    checkBulkAccounting(func::matmulSpec(), -1, 1, {0, 1, 2, 3});
+}
+
+TEST(EnumerateStream, BulkAccountingMatchesBruteForceMatmulAsymmetric)
+{
+    checkBulkAccounting(func::matmulSpec(), -1, 2, {1, 3});
+}
+
+// Conv has 16 cells: only a 2-value range fits, and it is the one spec
+// that walks 4x4 cofactors.
+TEST(EnumerateStream, BulkAccountingMatchesBruteForceConv)
+{
+    checkBulkAccounting(func::convSpec(1, 2), -1, 0, {0, 2});
 }
 
 } // namespace

@@ -23,6 +23,8 @@
 #include "util/failure.hpp"
 #include "util/fuzz.hpp"
 
+#include "temp_path.hpp"
+
 namespace
 {
 
@@ -131,8 +133,7 @@ TEST(Fuzz, MinimizeLinesKeepsFailingInputWhenIrreducible)
 
 TEST(Fuzz, OracleViolationIsMinimizedAndDumped)
 {
-    auto dir = std::filesystem::temp_directory_path() /
-               "stellar_fuzz_test_repros";
+    auto dir = test_util::uniqueTempPath("stellar_fuzz_test_repros");
     std::filesystem::remove_all(dir);
 
     FuzzOptions options;

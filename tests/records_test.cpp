@@ -27,6 +27,8 @@
 #include "util/failure.hpp"
 #include "util/rng.hpp"
 
+#include "temp_path.hpp"
+
 namespace stellar
 {
 namespace
@@ -231,10 +233,8 @@ TEST(Records, MergeRejectsIncompleteDuplicateAndMixedConfigSets)
 
 TEST(Records, FileRoundTripMissingAndCorruptFilesAreClassified)
 {
-    auto dir = std::filesystem::temp_directory_path() /
-               "stellar_records_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
+    test_util::TempDir scratch("stellar_records_test");
+    const auto &dir = scratch.path();
     std::string path = (dir / "shard0.json").string();
 
     auto shards = scanAll(smallConfig(), 1);
@@ -256,7 +256,6 @@ TEST(Records, FileRoundTripMissingAndCorruptFilesAreClassified)
                        text, accel::RecordsCorruption::FlipByte);
     expectClassifiedThrow([&] { accel::loadShardRecordsFile(path); },
                           "corrupt file");
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace stellar

@@ -14,9 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -32,6 +29,8 @@
 #include "util/logging.hpp"
 #include "util/socket.hpp"
 
+#include "temp_path.hpp"
+
 namespace
 {
 
@@ -42,11 +41,7 @@ using serve::Status;
 std::string
 uniqueSocketPath()
 {
-    static std::atomic<int> counter{0};
-    return (std::filesystem::temp_directory_path() /
-            ("stellar_sdt_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter.fetch_add(1)) + ".sock"))
-            .string();
+    return test_util::uniqueTempPath("stellar_sdt", ".sock").string();
 }
 
 /** A serve() loop on its own thread, joined + unlinked on scope exit. */
@@ -341,11 +336,8 @@ TEST(ServeDifferential, DrainMidStormAnswersEveryQueuedRequest)
 
 TEST(ServeDifferential, SnapshotWarmRestartServesIdenticalBytes)
 {
-    auto dir = std::filesystem::temp_directory_path() /
-               "stellar_serve_restart_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::string snapshot = (dir / "memo.json").string();
+    test_util::TempDir dir("stellar_serve_restart_test");
+    std::string snapshot = (dir.path() / "memo.json").string();
     const char *wire = "{\"command\":\"dse\",\"dim\":3}";
 
     std::string cold_output;
@@ -372,7 +364,6 @@ TEST(ServeDifferential, SnapshotWarmRestartServesIdenticalBytes)
         EXPECT_EQ(stats.misses, 0u);
         ASSERT_EQ(fixture.shutdown(), 0);
     }
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -23,6 +23,8 @@
 #include "util/failure.hpp"
 #include "util/logging.hpp"
 
+#include "temp_path.hpp"
+
 namespace
 {
 
@@ -517,11 +519,8 @@ TEST(ServeSnapshot, EveryCorruptionModeIsRejectedClassified)
 
 TEST(ServeSnapshot, FileRoundTripAndMissingFileIsColdStart)
 {
-    auto dir = std::filesystem::temp_directory_path() /
-               "stellar_serve_snapshot_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::string path = (dir / "memo.json").string();
+    test_util::TempDir dir("stellar_serve_snapshot_test");
+    std::string path = (dir.path() / "memo.json").string();
 
     accel::DesignPointMemo missing;
     EXPECT_EQ(serve::loadSnapshotFile(missing, path), 0u);
@@ -532,16 +531,12 @@ TEST(ServeSnapshot, FileRoundTripAndMissingFileIsColdStart)
     accel::DesignPointMemo restored;
     EXPECT_EQ(serve::loadSnapshotFile(restored, path),
               memo.stats().entries);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServeSnapshot, ServerStartsColdOnCorruptSnapshotFile)
 {
-    auto dir = std::filesystem::temp_directory_path() /
-               "stellar_serve_corrupt_snapshot_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::string path = (dir / "memo.json").string();
+    test_util::TempDir dir("stellar_serve_corrupt_snapshot_test");
+    std::string path = (dir.path() / "memo.json").string();
     {
         std::FILE *f = std::fopen(path.c_str(), "w");
         ASSERT_NE(f, nullptr);
@@ -553,7 +548,6 @@ TEST(ServeSnapshot, ServerStartsColdOnCorruptSnapshotFile)
     accel::DesignPointMemo memo;
     EXPECT_THROW(serve::loadSnapshotFile(memo, path), FatalError);
     EXPECT_EQ(memo.stats().entries, 0u);
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -34,6 +34,8 @@
 #include "serve/commands.hpp"
 #include "util/rng.hpp"
 
+#include "temp_path.hpp"
+
 namespace stellar
 {
 namespace
@@ -82,8 +84,7 @@ class ShardDir : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "stellar_shard_merge_test";
+        dir_ = test_util::uniqueTempPath("stellar_shard_merge_test");
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }
@@ -265,12 +266,8 @@ TEST(ShardPartition, ShardCountOneIsByteIdenticalToUnsharded)
 {
     auto request = baseRequest();
     std::string expected = singleProcess(request);
-    auto dir = std::filesystem::temp_directory_path() /
-               "stellar_shard_one_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    EXPECT_EQ(shardedViaFiles(request, 1, dir), expected);
-    std::filesystem::remove_all(dir);
+    test_util::TempDir dir("stellar_shard_one_test");
+    EXPECT_EQ(shardedViaFiles(request, 1, dir.path()), expected);
 }
 
 TEST(ShardStats, MergedDseStatsMatchSingleProcessFieldByField)
@@ -280,10 +277,6 @@ TEST(ShardStats, MergedDseStatsMatchSingleProcessFieldByField)
     auto request = baseRequest();
     auto single = serve::renderDse(request);
 
-    auto dir = std::filesystem::temp_directory_path() /
-               "stellar_shard_stats_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
     std::vector<accel::ShardRecords> shards;
     {
         accel::ShardConfig config;
@@ -330,7 +323,6 @@ TEST(ShardStats, MergedDseStatsMatchSingleProcessFieldByField)
     EXPECT_EQ(merged.evaluated, expected.evaluated);
     EXPECT_EQ(merged.failed, expected.failed);
     EXPECT_EQ(merged.threadsUsed, expected.threadsUsed);
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace stellar

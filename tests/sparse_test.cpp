@@ -15,6 +15,8 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
+#include "temp_path.hpp"
+
 #include <sstream>
 
 namespace stellar::sparse
@@ -258,7 +260,8 @@ TEST(MatrixMarket, FileRoundTrip)
 {
     Rng rng(19);
     auto matrix = randomCsr(rng, 12, 12, 0.2);
-    std::string path = ::testing::TempDir() + "stellar_mm_test.mtx";
+    test_util::TempDir dir("stellar_mm_test");
+    std::string path = (dir.path() / "matrix.mtx").string();
     writeMatrixMarketFile(path, matrix);
     EXPECT_EQ(readMatrixMarketFile(path), matrix);
 }
