@@ -575,6 +575,7 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     std::int64_t last_rejected = 0;
     std::int64_t last_duplicates = 0;
     bool limited = false;
+    Clock::duration analytic_time{};
     for (const ShardRecords &shard : shards) {
         for (const CandidateRecord &record : shard.records) {
             if (!signatures.insert(record.signature).second) {
@@ -595,6 +596,7 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                 record.analyticPes > config.maxPes) {
                 local.prunedEarly++;
             } else {
+                auto score_start = Clock::now();
                 scored++;
                 Ranked ranked{record.saturated, record.score, index,
                               &record};
@@ -606,6 +608,7 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                     heap.back() = ranked;
                     std::push_heap(heap.begin(), heap.end(), better);
                 }
+                analytic_time += Clock::now() - score_start;
             }
             if (yielded >= config.enumLimit) {
                 limited = true;
@@ -658,10 +661,16 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                         ranked.record->matrix,
                         "enumerated-" + std::to_string(ranked.index)));
     }
+    // The scores were computed by the shards; the merge's analytic tier
+    // is the heap, timed per record like the fused scan's scoring, and
+    // the fold keeps the rest of the wall.
+    local.analyticMs =
+            std::chrono::duration<double, std::milli>(analytic_time)
+                    .count();
     local.enumerateMs = std::chrono::duration<double, std::milli>(
                                 Clock::now() - enumerate_start)
-                                .count();
-    local.analyticMs = local.analyticRanked > 0 ? local.enumerateMs : 0.0;
+                                .count() -
+                        local.analyticMs;
 
     // Elaborate the folded survivors through exactly the back half a
     // single-process run uses.

@@ -10,11 +10,27 @@
 namespace stellar::sim
 {
 
+DramModel::DramModel(DramConfig config) : config_(config)
+{
+    // Each bound keeps a transfer finite: a zero bandwidth divides by
+    // zero, a zero cap or burst never lets a stream finish, and a
+    // negative latency would complete requests before they issue.
+    require(config_.latency >= 0, "DramConfig::latency must be >= 0");
+    require(config_.bytesPerCycle >= 1,
+            "DramConfig::bytesPerCycle must be >= 1");
+    require(config_.maxOutstanding >= 1,
+            "DramConfig::maxOutstanding must be >= 1");
+    require(config_.minBurstBytes >= 1,
+            "DramConfig::minBurstBytes must be >= 1");
+}
+
 std::int64_t
 DramModel::outstanding(std::int64_t now) const
 {
-    while (!inflight_.empty() && inflight_.top() <= now)
-        inflight_.pop();
+    // Completions are ascending in issue order, so the finished
+    // requests are a prefix.
+    while (!inflight_.empty() && inflight_.front() <= now)
+        inflight_.pop_front();
     return std::int64_t(inflight_.size());
 }
 
@@ -35,31 +51,44 @@ DramModel::issue(std::int64_t now, std::int64_t bytes)
     bwCursor_ = start + occupancy;
     bytesTransferred_ += bytes;
     std::int64_t completion = bwCursor_ + config_.latency;
-    inflight_.push(completion);
+    inflight_.push_back(completion);
     return completion;
 }
 
-TransferResult
-simulateTransfer(const DmaConfig &dma, DramModel &dram,
-                 const std::vector<TransferChunk> &chunks,
-                 std::int64_t start_cycle)
+namespace
 {
+
+/**
+ * The per-wave DMA loop over `count` chunks, the i-th read through
+ * `chunk_at(i)` — a vector for simulateTransfer, bursts made on demand
+ * for simulateStream.
+ */
+template <typename ChunkAt>
+TransferResult
+runTransfer(const DmaConfig &dma, DramModel &dram, std::size_t count,
+            ChunkAt chunk_at, std::int64_t start_cycle)
+{
+    require(dma.reqsPerCycle >= 1, "DmaConfig::reqsPerCycle must be >= 1");
+    require(dma.pointerContexts >= 1,
+            "DmaConfig::pointerContexts must be >= 1");
     TransferResult result;
     std::int64_t now = start_cycle;
 
-    // Chunks whose pointer load has been issued, keyed by the cycle the
-    // pointer value arrives.
+    // Chunks whose pointer load has been issued, with the cycle the
+    // pointer value arrives. Pointer loads complete in issue order (the
+    // monotone-completion invariant), so the front is both the earliest
+    // arrival and the only candidate to be ready first.
     struct PendingData
     {
         std::int64_t readyAt;
         std::int64_t bytes;
     };
-    std::vector<PendingData> pending;
+    std::deque<PendingData> pending;
     std::size_t next_chunk = 0;
     std::int64_t last_completion = start_cycle;
 
     auto all_done = [&]() {
-        return next_chunk >= chunks.size() && pending.empty();
+        return next_chunk >= count && pending.empty();
     };
 
     // One watchdog step per simulated wave, batched: a transfer that
@@ -73,7 +102,7 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
         dog.step([&]() {
             return "dram transfer at cycle " + std::to_string(now) +
                    ", chunk " + std::to_string(next_chunk) + "/" +
-                   std::to_string(chunks.size()) + ", " +
+                   std::to_string(count) + ", " +
                    std::to_string(pending.size()) +
                    " pointer loads pending, " +
                    std::to_string(dram.outstanding(now)) +
@@ -85,24 +114,19 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
             if (!dram.canAccept(now))
                 break;
             // Prefer dependent data requests whose pointers have arrived.
-            auto ready = pending.end();
-            for (auto it = pending.begin(); it != pending.end(); ++it)
-                if (it->readyAt <= now &&
-                        (ready == pending.end() ||
-                         it->readyAt < ready->readyAt)) {
-                    ready = it;
-                }
-            if (ready != pending.end()) {
-                std::int64_t done = dram.issue(now, ready->bytes);
+            if (!pending.empty() && pending.front().readyAt <= now) {
+                std::int64_t bytes = pending.front().bytes;
+                pending.pop_front();
+                std::int64_t done = dram.issue(now, bytes);
                 last_completion = std::max(last_completion, done);
                 result.requests++;
-                result.bytes += ready->bytes;
-                pending.erase(ready);
+                result.bytes += bytes;
                 issued_this_cycle++;
                 continue;
             }
-            if (next_chunk < chunks.size()) {
-                if (chunks[next_chunk].pointerChased &&
+            if (next_chunk < count) {
+                const TransferChunk chunk = chunk_at(next_chunk);
+                if (chunk.pointerChased &&
                         std::int64_t(pending.size()) >=
                                 dma.pointerContexts) {
                     // All pointer contexts are occupied: stall until a
@@ -110,7 +134,7 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
                     stalled_on_pointer = true;
                     break;
                 }
-                const auto &chunk = chunks[next_chunk++];
+                next_chunk++;
                 if (chunk.pointerChased) {
                     // Load the 8-byte pointer first; the data request
                     // becomes issueable when the pointer returns.
@@ -139,11 +163,9 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
         if (issued_this_cycle == 0 && !all_done()) {
             std::int64_t skip_to = now;
             if (!pending.empty()) {
-                std::int64_t earliest = pending.front().readyAt;
-                for (const auto &p : pending)
-                    earliest = std::min(earliest, p.readyAt);
-                skip_to = std::max(skip_to, std::min(earliest,
-                                                     last_completion));
+                skip_to = std::max(skip_to,
+                                   std::min(pending.front().readyAt,
+                                            last_completion));
             } else {
                 skip_to = std::max(skip_to, dram.bandwidthCursor());
             }
@@ -158,19 +180,33 @@ simulateTransfer(const DmaConfig &dma, DramModel &dram,
     return result;
 }
 
+} // namespace
+
+TransferResult
+simulateTransfer(const DmaConfig &dma, DramModel &dram,
+                 const std::vector<TransferChunk> &chunks,
+                 std::int64_t start_cycle)
+{
+    return runTransfer(
+            dma, dram, chunks.size(),
+            [&](std::size_t i) { return chunks[i]; }, start_cycle);
+}
+
 TransferResult
 simulateStream(const DmaConfig &dma, DramModel &dram, std::int64_t bytes,
                std::int64_t start_cycle)
 {
-    // Split into DRAM-burst-sized chunks.
-    std::vector<TransferChunk> chunks;
-    std::int64_t burst = dram.config().minBurstBytes;
-    for (std::int64_t off = 0; off < bytes; off += burst) {
-        TransferChunk chunk;
-        chunk.bytes = std::min(burst, bytes - off);
-        chunks.push_back(chunk);
-    }
-    return simulateTransfer(dma, dram, chunks, start_cycle);
+    // DRAM-burst-sized chunks; only the last may be short.
+    const std::int64_t burst = dram.config().minBurstBytes;
+    const std::int64_t bursts =
+            bytes > 0 ? bytes / burst + (bytes % burst != 0) : 0;
+    return runTransfer(
+            dma, dram, std::size_t(bursts),
+            [&](std::size_t i) {
+                std::int64_t off = std::int64_t(i) * burst;
+                return TransferChunk{std::min(burst, bytes - off), false};
+            },
+            start_cycle);
 }
 
 } // namespace stellar::sim

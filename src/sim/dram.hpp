@@ -10,19 +10,29 @@
  * must load a pointer before the dependent data request can issue, which
  * is exactly the control dependency that bottlenecked the initial
  * Stellar-generated OuterSPACE.
+ *
+ * Monotone completions: `DramModel::issue` advances the bandwidth cursor
+ * to `max(now, cursor) + occupancy` with `occupancy >= 1` (the configs
+ * are validated at construction), and a request completes a constant
+ * `latency` after the cursor. So on one DramModel every request
+ * completes strictly later than every request issued before it, across
+ * transfers too. Requests therefore leave the in-flight set in issue
+ * order, and a transfer's pointer loads return in the order they were
+ * issued: both queues are FIFOs, and each DMA request costs O(1).
  */
 
 #ifndef STELLAR_SIM_DRAM_HPP
 #define STELLAR_SIM_DRAM_HPP
 
 #include <cstdint>
-#include <queue>
+#include <deque>
 #include <vector>
 
 namespace stellar::sim
 {
 
-/** DRAM timing parameters. */
+/** DRAM timing parameters. DramModel rejects a negative latency and
+ *  any other field below 1 with a FatalError. */
 struct DramConfig
 {
     std::int64_t latency = 100;        //!< cycles from issue to data
@@ -35,7 +45,7 @@ struct DramConfig
 class DramModel
 {
   public:
-    explicit DramModel(DramConfig config) : config_(config) {}
+    explicit DramModel(DramConfig config);
 
     const DramConfig &config() const { return config_; }
 
@@ -60,11 +70,14 @@ class DramModel
     DramConfig config_;
     std::int64_t bwCursor_ = 0;
     std::int64_t bytesTransferred_ = 0;
-    mutable std::priority_queue<std::int64_t, std::vector<std::int64_t>,
-                                std::greater<>> inflight_;
+    /** Completion cycles of the requests in flight, in issue order —
+     *  which is ascending order (see the file comment). */
+    mutable std::deque<std::int64_t> inflight_;
 };
 
-/** DMA issue-rate configuration. */
+/** DMA issue-rate configuration. A transfer rejects either field below
+ *  1 with a FatalError. The in-flight request cap is the DRAM's,
+ *  DramConfig::maxOutstanding. */
 struct DmaConfig
 {
     int reqsPerCycle = 1;  //!< new independent requests per cycle
@@ -78,8 +91,6 @@ struct DmaConfig
      * scattered accesses (Section VI-C).
      */
     int pointerContexts = 10;
-
-    std::int64_t maxOutstanding = 64;
 
     /** A DMA issuing R requests/cycle with proportional contexts. */
     static DmaConfig
@@ -120,7 +131,11 @@ TransferResult simulateTransfer(const DmaConfig &dma, DramModel &dram,
                                 const std::vector<TransferChunk> &chunks,
                                 std::int64_t start_cycle = 0);
 
-/** Convenience: a contiguous streaming transfer of `bytes`. */
+/**
+ * A contiguous streaming transfer of `bytes` in `minBurstBytes` bursts
+ * (the last one may be short): exactly simulateTransfer over those
+ * bursts, made one at a time instead of as a chunk vector.
+ */
 TransferResult simulateStream(const DmaConfig &dma, DramModel &dram,
                               std::int64_t bytes,
                               std::int64_t start_cycle = 0);

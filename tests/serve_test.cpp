@@ -35,6 +35,44 @@ using serve::RequestLimits;
 using serve::Response;
 using serve::Status;
 
+// ------------------------------------------------------------ sim golden
+
+/** The served OuterSPACE table (18 SuiteSparse profiles scaled to 60k
+ *  nnz, DMA rate 16), recorded from the linear-scan DMA/DRAM model.
+ *  Its cycles sum to 15,660,930. Any change to the DMA/DRAM model, the
+ *  OuterSPACE sim or the matrix generator that moves a count shows up
+ *  here. */
+const char *const kOuterSpaceGolden = R"(matrix           nnz      cycles       GF/s@1.5GHz
+2cubes_sphere    59987     1182098       2.47
+amazon0312       49389      738780       1.24
+ca-CondMat       59992      984138       1.53
+cage12           59995     1162684       2.42
+cop20k_A         59982     1437732       2.73
+email-Enron      53880      625064       2.47
+filter3D         59974     1585190       2.89
+m133-b3          60000      756354       0.95
+mario002         59996      786724       1.24
+offshore         59984     1188346       2.47
+p2p-Gnutella31   59999      318150       1.19
+patents_main     59998      682674       0.60
+poisson3Da       59985     1626602       2.89
+roadNet-CA       59997      732920       0.69
+scircuit         59998      512148       2.07
+web-Google       59995      417772       2.19
+webbase-1M       59998      244728       2.00
+wiki-Vote        47917      678826       2.14
+)";
+
+TEST(ServeSimGolden, OuterSpaceTableIsByteIdentical)
+{
+    Request request = serve::parseRequest(
+            "{\"command\":\"sim\",\"workload\":\"outerspace\"}");
+    ASSERT_EQ(request.command, Command::Sim);
+    auto rendered = serve::renderSim(request.sim);
+    EXPECT_EQ(rendered.exitCode, 0);
+    EXPECT_EQ(rendered.output, kOuterSpaceGolden);
+}
+
 // ---------------------------------------------------------------- protocol
 
 TEST(ServeProtocol, ParsesFullSimRequest)

@@ -16,6 +16,8 @@
 #include "sim/scratchpad.hpp"
 #include "sim/systolic.hpp"
 #include "sparse/suitesparse.hpp"
+#include "util/failure.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace stellar::sim
@@ -113,6 +115,80 @@ TEST(SimulateTransfer, ContiguousChunksDontPayPointerPenalty)
     auto pointer = simulateTransfer(dma, d2, chased);
     EXPECT_GT(pointer.cycles, direct.cycles);
     EXPECT_EQ(direct.pointerStallCycles, 0);
+}
+
+/** Expect `fn` to throw a FatalError (a UserSpec failure), not hang. */
+template <typename Fn>
+void
+expectRejected(Fn &&fn, const char *what)
+{
+    try {
+        fn();
+        ADD_FAILURE() << what << ": accepted";
+    } catch (const FatalError &) {
+        auto failure = util::classifyException(std::current_exception());
+        EXPECT_EQ(failure.kind, util::FailureKind::UserSpec) << what;
+    }
+}
+
+TEST(DramConfigCheck, RejectsNegativeLatency)
+{
+    DramConfig config;
+    config.latency = -1;
+    expectRejected([&]() { DramModel dram(config); }, "latency -1");
+    config.latency = 0;
+    DramModel dram(config);
+    EXPECT_EQ(dram.issue(0, 64), 2); // zero latency is valid
+}
+
+TEST(DramConfigCheck, RejectsZeroBandwidth)
+{
+    DramConfig config;
+    config.bytesPerCycle = 0;
+    expectRejected([&]() { DramModel dram(config); }, "bytesPerCycle 0");
+}
+
+TEST(DramConfigCheck, RejectsZeroOutstandingCap)
+{
+    DramConfig config;
+    config.maxOutstanding = 0;
+    expectRejected([&]() { DramModel dram(config); }, "maxOutstanding 0");
+    config.maxOutstanding = -3;
+    expectRejected([&]() { DramModel dram(config); },
+                   "maxOutstanding -3");
+}
+
+TEST(DramConfigCheck, RejectsZeroBurst)
+{
+    DramConfig config;
+    config.minBurstBytes = 0;
+    expectRejected([&]() { DramModel dram(config); }, "minBurstBytes 0");
+}
+
+TEST(DramConfigCheck, RejectsZeroRequestRate)
+{
+    DramModel dram((DramConfig()));
+    DmaConfig dma;
+    dma.reqsPerCycle = 0;
+    expectRejected([&]() { simulateStream(dma, dram, 4096); },
+                   "reqsPerCycle 0, stream");
+    expectRejected([&]() { simulateTransfer(dma, dram, {}); },
+                   "reqsPerCycle 0, empty transfer");
+    expectRejected(
+            [&]() { simulateStream(DmaConfig::withRate(0), dram, 64); },
+            "withRate(0)");
+    EXPECT_EQ(dram.bytesTransferred(), 0); // rejected before any issue
+}
+
+TEST(DramConfigCheck, RejectsZeroPointerContexts)
+{
+    DramModel dram((DramConfig()));
+    DmaConfig dma;
+    dma.pointerContexts = 0;
+    std::vector<TransferChunk> chased(4, TransferChunk{64, true});
+    expectRejected([&]() { simulateTransfer(dma, dram, chased); },
+                   "pointerContexts 0");
+    EXPECT_EQ(dram.bytesTransferred(), 0);
 }
 
 TEST(Systolic, FullUtilizationOnLargeSquareMatmul)
