@@ -32,7 +32,8 @@
  *
  * A model instance is NOT thread-safe: score() reuses internal scratch
  * buffers so a sweep over a million candidates allocates nothing. The
- * DSE tier runs it serially, which is also what makes the tier's
+ * DSE tier runs it serially in the enumeration scan's consumer
+ * (exploreDataflows, scanShard), which is also what makes the tier's
  * ranking trivially byte-identical at any thread or shard count.
  */
 
@@ -88,9 +89,6 @@ class AnalyticCostModel
                       int data_width, int mac_bits,
                       const model::AreaParams &area_params,
                       const model::TimingParams &timing_params);
-
-    /** The shared probe space (also usable by the analytic prepass). */
-    const core::IterationSpace &probeSpace() const { return space_; }
 
     /**
      * Score one candidate. Not thread-safe (reuses scratch buffers);

@@ -10,10 +10,12 @@
 #ifndef STELLAR_ACCEL_DSE_HPP
 #define STELLAR_ACCEL_DSE_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/accelerator.hpp"
@@ -138,50 +140,26 @@ struct DseOptions
     std::int64_t maxPes = 0;
 
     /**
-     * Two-phase exploration: when nonzero, every candidate is first
-     * probed analytically (exact PE count and schedule length, no
-     * iteration-space walk), and only the best `analyticPrepass`
-     * candidates by the schedule-length x PE proxy are fully elaborated
-     * and scored. The rest are counted in DseStats::prepassFiltered.
-     * The proxy tracks the delay-area score but is not identical to it,
-     * so set this comfortably above topK. 0 disables the prepass.
-     */
-    std::size_t analyticPrepass = 0;
-
-    /**
      * Three-tier exploration: when nonzero, every candidate surviving
-     * the prunes above is scored by the closed-form AnalyticCostModel
-     * (no elaboration — millions of candidates per second), a
-     * deterministic top-K heap ordered by (saturated, analytic score,
-     * enumIndex) keeps the best `analyticTopK`, and only those
-     * survivors are fully elaborated and exactly re-scored. The rest
-     * are counted in DseStats::analyticFiltered.
+     * the maxPes prune is scored by the closed-form AnalyticCostModel
+     * (no elaboration — millions of candidates per second) as the
+     * coefficient scan streams it, detail::AnalyticTopK keeps the best
+     * `analyticTopK` by (saturated, analytic score, enumIndex), and
+     * only those survivors are fully elaborated and exactly re-scored.
+     * The rest are counted in DseStats::analyticFiltered. The transform
+     * vector is never materialized, so the heap is the only O(K) state
+     * and hop-4-scale walks (1e8 codes) fit under `enumerate.limit`.
      *
      * With an empty balancing spec the analytic score is bit-identical
      * to the elaborated one, so the final ranking equals a full run's
      * top-K exactly (the differential tests pin this). With balancing,
      * the analytic score ignores the balance pruning and the tier is a
      * heuristic filter — set this comfortably above topK. The tier is
-     * scored serially, so rankings stay byte-identical at any thread
-     * or enumeration-shard count. 0 disables the tier.
+     * scored serially in enumeration order, so rankings stay
+     * byte-identical at any thread or enumeration-shard count. 0
+     * disables the tier: every surviving candidate is elaborated.
      */
     std::size_t analyticTopK = 0;
-
-    /**
-     * Fuse enumeration into the analytic tier: when true (the default)
-     * and `analyticTopK` is active (nonzero, and no analyticPrepass),
-     * candidates are scored by the closed-form model as the coefficient
-     * scan streams them, so the transform vector is never materialized
-     * and the bounded top-K heap is the only O(K) state — hop-4-scale
-     * walks (1e8 codes) become feasible under `enumerate.limit`. The
-     * streamed survivor sequence is byte-identical to the materialized
-     * scan, so rankings and counters are unchanged; `analyticMs` then
-     * sums the per-candidate scoring + heap time inside the fused
-     * phase and `enumerateMs` is the rest of its wall (the scan's own
-     * time). Set false to force the materialized two-phase path (the
-     * differential tests compare both).
-     */
-    bool streamEnumeration = true;
 
     /** Optional sparsity/balancing applied to every candidate, so the
      *  search sees the interactions between dataflow and the other
@@ -259,9 +237,6 @@ struct DseStats
     std::size_t prunedEarly = 0; //!< skipped by the exact maxPes prune
     std::size_t failed = 0;      //!< candidates that threw (isolated)
 
-    /** Candidates dropped by the analyticPrepass proxy ranking. */
-    std::size_t prepassFiltered = 0;
-
     /** Candidates scored by the analytic tier (DseOptions::analyticTopK). */
     std::size_t analyticRanked = 0;
     /** Candidates the analytic tier dropped (never elaborated). */
@@ -293,9 +268,12 @@ struct DseStats
      *  across thread counts. */
     std::vector<CandidateFailure> failures;
 
-    double enumerateMs = 0.0; //!< wall time enumerating transforms
-    double prepassMs = 0.0;   //!< wall time in the analytic prepass
-    double analyticMs = 0.0;  //!< wall time in the analytic top-K tier
+    /** Wall time of the scan, less analyticMs: the enumeration and the
+     *  maxPes prune. */
+    double enumerateMs = 0.0;
+    /** Analytic scoring + top-K selection, summed per candidate inside
+     *  the scan (0 when the tier is off). */
+    double analyticMs = 0.0;
     double evaluateMs = 0.0;  //!< wall time elaborating + scoring
     double rankMs = 0.0;      //!< wall time in the top-K reduction
 
@@ -311,11 +289,17 @@ struct DseStats
  * returned candidates are sorted by ascending score (best first), ties
  * broken by enumeration index, so the ranking is deterministic across
  * runs and thread counts. When `stats` is non-null it receives the
- * counters for this call; `evaluated + prunedEarly + prepassFiltered +
- * analyticFiltered + failed == enumerated` always holds, and with the
- * default isolateFailures a
- * throwing candidate becomes a recorded CandidateFailure rather than
- * an exception out of this call.
+ * counters for this call; `evaluated + prunedEarly + analyticFiltered +
+ * failed == enumerated` always holds, and with the default
+ * isolateFailures a throwing candidate becomes a recorded
+ * CandidateFailure rather than an exception out of this call.
+ *
+ * One front half feeds evaluateAndRank: a single
+ * dataflow::forEachTransform scan whose sink applies the maxPes prune,
+ * then either scores the candidate into the analytic top-K
+ * (analyticTopK > 0) or appends it to the work list. The scan is
+ * bounded by its own 2e9-code cap and `enumerate.limit`, not by the
+ * materializing enumerateTransforms cap.
  */
 std::vector<DseCandidate> exploreDataflows(
         const func::FunctionalSpec &functional, const IntVec &bounds,
@@ -343,24 +327,109 @@ std::vector<DseCandidate> evaluateAndRank(
         const DseOptions &options, const model::AreaParams &area_params,
         const model::TimingParams &timing_params, DseStats &stats);
 
+namespace detail
+{
+
 /**
- * The analyticPrepass proxy ranking used by exploreDataflows: probe
- * every worklist candidate in closed form against `probe_space`, rank
- * by (saturated, scheduleLength x PEs proxy, enumeration index), and
- * return the best `keep` indices re-sorted into enumeration order.
- *
- * Saturated probes always rank after every unsaturated one. The flag —
- * not the clamped magnitude — must be the primary key: a clamp rounds
- * to double(INT64_MAX), which can compare *equal* to a legitimately
- * huge unsaturated design's proxy, and a tie decided by enumeration
- * index could then keep the saturated candidate. Exposed so the
- * regression test can pin this with 2^62-coefficient transforms that
- * enumeration never produces.
+ * The analytic tier's bounded top-K selector: the one place that
+ * decides which candidates are elaborated, shared by the scan in
+ * exploreDataflows and the shard fold in mergeShardRecords. It keeps
+ * the best `k` offers by (saturated, score, enumIndex). Saturated
+ * scores rank after every unsaturated one: the flag, not the clamped
+ * magnitude, is the primary key, because a clamp can compare *equal*
+ * to a legitimately huge score and the index tie-break could then keep
+ * the saturated candidate. The order is total over distinct indices,
+ * so the kept set does not depend on the offer order. Header-inline
+ * and free of std::function: the merge offers every record of a sweep.
  */
-std::vector<std::size_t> analyticPrepassSurvivors(
-        const std::vector<dataflow::SpaceTimeTransform> &transforms,
-        const std::vector<std::size_t> &worklist, const IntVec &bounds,
-        const core::IterationSpace &probe_space, std::size_t keep);
+template <typename Payload>
+class AnalyticTopK
+{
+  public:
+    explicit AnalyticTopK(std::size_t k) : k_(k)
+    {
+        heap_.reserve(std::min<std::size_t>(k, 4096));
+    }
+
+    /** Offer one scored candidate; `payload` is copied only if kept. */
+    void
+    offer(bool saturated, double score, std::size_t index,
+          const Payload &payload)
+    {
+        offered_++;
+        Key key{saturated, score, index};
+        // With "ranks before" as the heap order, the front is the
+        // worst kept candidate: the eviction point.
+        if (heap_.size() == k_) {
+            if (k_ == 0 || !before(key, heap_.front().first))
+                return;
+            std::pop_heap(heap_.begin(), heap_.end(), ranksBefore);
+            heap_.pop_back();
+        }
+        heap_.emplace_back(key, payload);
+        std::push_heap(heap_.begin(), heap_.end(), ranksBefore);
+    }
+
+    /** Fill DseStats::{analyticRanked, analyticFiltered}; both stay 0
+     *  unless more than `k` candidates were offered (a tier that kept
+     *  everything filtered nothing). */
+    void
+    count(DseStats &stats) const
+    {
+        if (offered_ <= k_)
+            return;
+        stats.analyticRanked = offered_;
+        stats.analyticFiltered = offered_ - k_;
+    }
+
+    /** The kept candidates as (enumIndex, payload) in enumeration
+     *  order, the order an unfiltered run evaluates in. Empties the
+     *  selector. */
+    std::vector<std::pair<std::size_t, Payload>>
+    takeInEnumOrder()
+    {
+        std::sort(heap_.begin(), heap_.end(),
+                  [](const Entry &a, const Entry &b) {
+                      return a.first.index < b.first.index;
+                  });
+        std::vector<std::pair<std::size_t, Payload>> kept;
+        kept.reserve(heap_.size());
+        for (Entry &entry : heap_)
+            kept.emplace_back(entry.first.index, std::move(entry.second));
+        heap_.clear();
+        return kept;
+    }
+
+  private:
+    struct Key
+    {
+        bool saturated;
+        double score;
+        std::size_t index;
+    };
+    using Entry = std::pair<Key, Payload>;
+
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        if (a.saturated != b.saturated)
+            return !a.saturated;
+        if (a.score != b.score)
+            return a.score < b.score;
+        return a.index < b.index;
+    }
+    static bool
+    ranksBefore(const Entry &a, const Entry &b)
+    {
+        return before(a.first, b.first);
+    }
+
+    std::size_t k_;
+    std::size_t offered_ = 0;
+    std::vector<Entry> heap_;
+};
+
+} // namespace detail
 
 } // namespace stellar::accel
 

@@ -543,27 +543,11 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     // The global consuming walk: exactly TransformStream's chunk merge,
     // with shard files in the chunk role. Dedup against a global
     // signature set, apply the maxPes prune and the analytic top-K
-    // heap to every global yield, and stop at enumLimit — all in code
+    // selector to every global yield, and stop at enumLimit — all in code
     // order, so the fold is independent of input-file order.
-    struct Ranked
-    {
-        bool saturated;
-        double score;
-        std::size_t index;
-        const CandidateRecord *record;
-    };
-    auto better = [](const Ranked &a, const Ranked &b) {
-        if (a.saturated != b.saturated)
-            return !a.saturated; // clamped scores rank last
-        if (a.score != b.score)
-            return a.score < b.score;
-        return a.index < b.index;
-    };
-    std::vector<Ranked> heap;
     const std::size_t analytic_top_k = std::size_t(config.analyticTopK);
-    heap.reserve(std::min<std::size_t>(analytic_top_k, 4096));
+    detail::AnalyticTopK<const CandidateRecord *> top(analytic_top_k);
     std::set<std::vector<std::int64_t>> signatures;
-    std::size_t scored = 0;
     std::int64_t yielded = 0;
     std::int64_t merge_duplicates = 0;
     std::int64_t prior_examined = 0;
@@ -597,17 +581,7 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                 local.prunedEarly++;
             } else {
                 auto score_start = Clock::now();
-                scored++;
-                Ranked ranked{record.saturated, record.score, index,
-                              &record};
-                if (heap.size() < analytic_top_k) {
-                    heap.push_back(ranked);
-                    std::push_heap(heap.begin(), heap.end(), better);
-                } else if (better(ranked, heap.front())) {
-                    std::pop_heap(heap.begin(), heap.end(), better);
-                    heap.back() = ranked;
-                    std::push_heap(heap.begin(), heap.end(), better);
-                }
+                top.offer(record.saturated, record.score, index, &record);
                 analytic_time += Clock::now() - score_start;
             }
             if (yielded >= config.enumLimit) {
@@ -641,29 +615,20 @@ mergeShardRecords(std::vector<ShardRecords> shards,
                                      local.enumeration.decoded;
     local.enumerated = std::size_t(yielded);
     local.orbitSkipped = std::size_t(local.enumeration.orbitSkipped);
-    if (scored > analytic_top_k) {
-        local.analyticRanked = scored;
-        local.analyticFiltered = scored - heap.size();
-    }
-    std::sort(heap.begin(), heap.end(),
-              [](const Ranked &a, const Ranked &b) {
-                  return a.index < b.index;
-              });
+    top.count(local);
     std::vector<std::pair<std::size_t, dataflow::SpaceTimeTransform>>
             work;
-    work.reserve(heap.size());
-    for (const Ranked &ranked : heap) {
+    for (const auto &[index, record] : top.takeInEnumOrder()) {
         // The transform constructor re-validates invertibility; a
         // corrupted-but-checksummed matrix dies here, classified.
-        work.emplace_back(
-                ranked.index,
-                dataflow::SpaceTimeTransform(
-                        ranked.record->matrix,
-                        "enumerated-" + std::to_string(ranked.index)));
+        work.emplace_back(index,
+                          dataflow::SpaceTimeTransform(
+                                  record->matrix,
+                                  "enumerated-" + std::to_string(index)));
     }
     // The scores were computed by the shards; the merge's analytic tier
-    // is the heap, timed per record like the fused scan's scoring, and
-    // the fold keeps the rest of the wall.
+    // is the top-K selection, timed per record like exploreDataflows
+    // times its scoring, and the fold keeps the rest of the wall.
     local.analyticMs =
             std::chrono::duration<double, std::milli>(analytic_time)
                     .count();

@@ -49,7 +49,13 @@ class DramModel
 
     const DramConfig &config() const { return config_; }
 
-    /** Requests still in flight at the given cycle. */
+    /**
+     * Requests in flight at cycle `now`. Exact only for non-decreasing
+     * `now` across calls: the query retires every request completed by
+     * `now` for good, so a later query at an earlier cycle undercounts
+     * (it cannot see requests that completed in between). The DMA
+     * simulators only ever query forward in time.
+     */
     std::int64_t outstanding(std::int64_t now) const;
 
     bool canAccept(std::int64_t now) const;

@@ -771,8 +771,6 @@ randomServeRequestText(Rng &rng, bool allow_shutdown)
             text += numField("topk", chooseInt({1, 5, 10}, {0, 1000000}));
         if (rng.nextBool(0.3))
             text += numField("max_pes", chooseInt({0, 64, 4096}, {-5}));
-        if (rng.nextBool(0.3))
-            text += numField("prepass", chooseInt({0, 4}, {-1, 1000000}));
         if (rng.nextBool(0.5))
             text += numField("step_budget",
                              chooseInt({0, 200000},

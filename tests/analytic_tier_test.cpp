@@ -9,10 +9,10 @@
  * the full exploration's top-K (and in particular always contains the
  * full-elaboration winner); (2) determinism — analytic-tier rankings
  * are byte-identical at any evaluation thread count and any
- * enumeration shard count, and saturated (clamped) analytic results
- * always rank after every honestly-counted candidate, including in the
- * older analyticPrepass proxy ordering (the 2^62-coefficient
- * regression).
+ * enumeration shard count, and the top-K selector ranks saturated
+ * (clamped) analytic results after every honestly-counted candidate
+ * (the 2^62-coefficient regression) and breaks score ties by
+ * enumeration index.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "accel/analytic.hpp"
@@ -164,7 +165,6 @@ TEST(AnalyticTier, TopKEqualsFullExplorationTopK)
 
         // Counter invariant with the analytic tier active.
         EXPECT_EQ(tier_stats.evaluated + tier_stats.prunedEarly +
-                          tier_stats.prepassFiltered +
                           tier_stats.analyticFiltered + tier_stats.failed,
                   tier_stats.enumerated);
         if (full_stats.enumerated > kKeep) {
@@ -239,13 +239,14 @@ TEST(AnalyticCost, ExtremeCoefficientsSaturateInsteadOfLying)
     EXPECT_EQ(exact.scheduleLength, 4);
 }
 
-// The 2^62-coefficient regression: a saturated probe's proxy is
-// double(INT64_MAX) x PEs = 2^63 x PEs, and a legitimate design whose
-// schedule length rounds to 2^63 in double produces the *equal* proxy.
-// The old (proxy, index) ordering then kept whichever enumerated first
-// — possibly the saturated one. The (saturated, proxy, index) ordering
-// must keep the honest design regardless of index order.
-TEST(AnalyticPrepass, SaturatedProxiesRankAfterUnsaturatedOnes)
+// The 2^62-coefficient regression: a saturated probe's clamped
+// schedule-length x PEs is double(INT64_MAX) x PEs = 2^63 x PEs, and a
+// legitimate design whose schedule length rounds to 2^63 in double has
+// the *equal* score. A (score, index) ordering would then keep
+// whichever enumerated first — possibly the saturated one. The
+// selector's (saturated, score, index) ordering must keep the honest
+// design regardless of index order.
+TEST(AnalyticTopK, SaturatedRanksAfterUnsaturatedAtEqualScore)
 {
     auto spec = func::matmulSpec();
     IntVec bounds{4, 4, 4};
@@ -258,38 +259,79 @@ TEST(AnalyticPrepass, SaturatedProxiesRankAfterUnsaturatedOnes)
             IntMatrix{{1, 0, 0}, {0, 1, 0}, {huge, 0, 1}}, "saturated");
     // Largest representable unsaturated schedule: 3c + 4 = INT64_MAX
     // exactly, which rounds to the same double(2^63). PEs = 16, so the
-    // proxies compare equal and only the flag separates them.
+    // scores compare equal and only the flag separates them.
     const std::int64_t c =
             (std::numeric_limits<std::int64_t>::max() - 4) / 3;
     ASSERT_EQ(3 * c + 4, std::numeric_limits<std::int64_t>::max());
     dataflow::SpaceTimeTransform honest(
             IntMatrix{{1, 0, 0}, {0, 1, 0}, {c, 0, 1}}, "honest");
 
-    {
-        auto clamped = accel::analyticProbe(saturated_transform, bounds,
-                                            probe_space);
-        auto exact = accel::analyticProbe(honest, bounds, probe_space);
-        ASSERT_TRUE(clamped.saturated);
-        ASSERT_FALSE(exact.saturated);
-        // The trap that motivates the flag-first ordering: the proxies
-        // really do compare equal in double.
-        ASSERT_EQ(double(clamped.scheduleLength) * double(clamped.pes),
-                  double(exact.scheduleLength) * double(exact.pes));
+    auto clamped = accel::analyticProbe(saturated_transform, bounds,
+                                        probe_space);
+    auto exact = accel::analyticProbe(honest, bounds, probe_space);
+    ASSERT_TRUE(clamped.saturated);
+    ASSERT_FALSE(exact.saturated);
+    const double clamped_score =
+            double(clamped.scheduleLength) * double(clamped.pes);
+    const double exact_score =
+            double(exact.scheduleLength) * double(exact.pes);
+    // The trap that motivates the flag-first ordering: the scores
+    // really do compare equal in double.
+    ASSERT_EQ(clamped_score, exact_score);
+
+    // The saturated candidate enumerates first, so an index tie-break
+    // alone would keep it.
+    accel::detail::AnalyticTopK<std::string> one(1);
+    one.offer(true, clamped_score, 0, "saturated");
+    one.offer(false, exact_score, 1, "honest");
+    auto kept = one.takeInEnumOrder();
+    ASSERT_EQ(kept.size(), 1u);
+    EXPECT_EQ(kept[0].first, 1u) << "selector kept the saturated candidate";
+    EXPECT_EQ(kept[0].second, "honest");
+    accel::DseStats stats;
+    one.count(stats);
+    EXPECT_EQ(stats.analyticRanked, 2u);
+    EXPECT_EQ(stats.analyticFiltered, 1u);
+
+    // With room for both, the saturated one still comes along (filtered,
+    // not lost), and survivors come back in enumeration order; a tier
+    // that kept everything reports no filtering.
+    accel::detail::AnalyticTopK<std::string> both(2);
+    both.offer(false, exact_score, 1, "honest");
+    both.offer(true, clamped_score, 0, "saturated");
+    auto all = both.takeInEnumOrder();
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all[0].first, 0u);
+    EXPECT_EQ(all[1].first, 1u);
+    accel::DseStats unfiltered;
+    both.count(unfiltered);
+    EXPECT_EQ(unfiltered.analyticRanked, 0u);
+    EXPECT_EQ(unfiltered.analyticFiltered, 0u);
+}
+
+// Equal scores keep the candidate that enumerated first, whatever order
+// they are offered in: the tie-break is what makes the survivor set
+// independent of scan scheduling and of the shard fold's input order.
+TEST(AnalyticTopK, EqualScoresKeepTheEarlierEnumIndex)
+{
+    for (bool reversed : {false, true}) {
+        SCOPED_TRACE(reversed ? "offered high index first"
+                              : "offered low index first");
+        accel::detail::AnalyticTopK<int> top(2);
+        std::vector<std::size_t> order{7, 3, 5, 9};
+        if (reversed)
+            order = {9, 5, 3, 7};
+        for (std::size_t index : order)
+            top.offer(false, 1.5, index, int(index) * 10);
+        // A strictly better score still displaces the tied leaders.
+        top.offer(false, 1.25, 11, 110);
+        auto kept = top.takeInEnumOrder();
+        ASSERT_EQ(kept.size(), 2u);
+        EXPECT_EQ(kept[0].first, 3u);
+        EXPECT_EQ(kept[0].second, 30);
+        EXPECT_EQ(kept[1].first, 11u);
+        EXPECT_EQ(kept[1].second, 110);
     }
-
-    std::vector<dataflow::SpaceTimeTransform> transforms{
-            saturated_transform, honest};
-    std::vector<std::size_t> worklist{0, 1};
-    auto survivors = accel::analyticPrepassSurvivors(
-            transforms, worklist, bounds, probe_space, 1);
-    ASSERT_EQ(survivors.size(), 1u);
-    EXPECT_EQ(survivors[0], 1u) << "prepass kept the saturated candidate";
-
-    // And with room for both, the saturated one still comes along
-    // (filtered, not lost) — the ordering only demotes it.
-    auto both = accel::analyticPrepassSurvivors(transforms, worklist,
-                                                bounds, probe_space, 2);
-    EXPECT_EQ(both, (std::vector<std::size_t>{0, 1}));
 }
 
 } // namespace

@@ -5,9 +5,9 @@
  * signatures, `enumerated-N` names, dedup winners, stats — to the
  * pre-streaming oracle's serial scan at every thread count, for every
  * `limit` (the old sharded scan's small-limit wart), and with orbit
- * skipping on or off. On top sits the tiered-DSE end-to-end check:
- * streamed top-K == materialized top-K == full-elaboration top-K with
- * the extended counter invariant.
+ * skipping on or off. On top sits the tiered-DSE end-to-end check: the
+ * tier-off run's enumeration equals the oracle's, the analytic top-K
+ * equals the full-elaboration top-K, and the counter invariant holds.
  */
 
 #include <gtest/gtest.h>
@@ -295,8 +295,8 @@ expectSameCandidates(const std::vector<accel::DseCandidate> &got,
 void
 expectDseInvariants(const accel::DseStats &stats)
 {
-    EXPECT_EQ(stats.evaluated + stats.prunedEarly + stats.prepassFiltered +
-                      stats.analyticFiltered + stats.failed,
+    EXPECT_EQ(stats.evaluated + stats.prunedEarly + stats.analyticFiltered +
+                      stats.failed,
               stats.enumerated);
     EXPECT_EQ(stats.orbitSkipped,
               std::size_t(stats.enumeration.orbitSkipped));
@@ -308,11 +308,12 @@ expectDseInvariants(const accel::DseStats &stats)
     EXPECT_EQ(stats.enumerated, std::size_t(stats.enumeration.yielded));
 }
 
-// Tiered DSE end to end: the fused streaming front half, the
-// materialized analytic tier, and brute-force full elaboration must
-// produce the same top-K, and the fused path's counters must equal the
-// materialized path's exactly — at 1 and 4 evaluation threads, with
-// and without a maxPes prune.
+// Tiered DSE end to end against the materialized serial oracle: the
+// tier-off run elaborates every streamed survivor, and its enumeration
+// must be exactly detail::enumerateTransformsOracle's (same count, and
+// every ranked candidate's matrix at its enumIndex). The analytic tier
+// must then reproduce that full top-K and share its scan accounting —
+// at 1 and 4 evaluation threads, with and without a maxPes prune.
 TEST(EnumerateStream, TieredDseStreamedEqualsMaterializedEqualsFull)
 {
     auto spec = func::matmulSpec();
@@ -332,70 +333,62 @@ TEST(EnumerateStream, TieredDseStreamedEqualsMaterializedEqualsFull)
         base.threads = 1;
 
         // Brute force: every survivor fully elaborated.
-        auto full_options = base;
-        full_options.streamEnumeration = false;
         accel::DseStats full_stats;
-        auto full = accel::exploreDataflows(spec, bounds, full_options,
+        auto full = accel::exploreDataflows(spec, bounds, base,
                                             area_params, timing_params,
                                             &full_stats);
         expectDseInvariants(full_stats);
 
-        accel::DseStats streamed_serial_stats;
+        auto oracle = dataflow::detail::enumerateTransformsOracle(
+                spec, base.enumerate);
+        EXPECT_EQ(full_stats.enumerated, oracle.size());
+        ASSERT_FALSE(full.empty());
+        for (const auto &candidate : full) {
+            ASSERT_LT(candidate.enumIndex, oracle.size());
+            EXPECT_EQ(candidate.transform.matrix(),
+                      oracle[candidate.enumIndex].matrix())
+                    << "enumIndex " << candidate.enumIndex;
+            EXPECT_EQ(candidate.transform.name(),
+                      oracle[candidate.enumIndex].name());
+        }
+
+        accel::DseStats tier_serial_stats;
         for (std::size_t threads : {1u, 4u}) {
             SCOPED_TRACE("threads " + std::to_string(threads));
             auto tier = base;
             tier.threads = threads;
             tier.analyticTopK = 12;
+            accel::DseStats tier_stats;
+            auto tiered = accel::exploreDataflows(
+                    spec, bounds, tier, area_params, timing_params,
+                    &tier_stats);
 
-            auto streamed_options = tier;
-            streamed_options.streamEnumeration = true;
-            accel::DseStats streamed_stats;
-            auto streamed = accel::exploreDataflows(
-                    spec, bounds, streamed_options, area_params,
-                    timing_params, &streamed_stats);
-
-            auto materialized_options = tier;
-            materialized_options.streamEnumeration = false;
-            accel::DseStats materialized_stats;
-            auto materialized = accel::exploreDataflows(
-                    spec, bounds, materialized_options, area_params,
-                    timing_params, &materialized_stats);
-
-            expectSameCandidates(streamed, materialized);
-            expectSameCandidates(streamed, full);
-            expectDseInvariants(streamed_stats);
-            expectDseInvariants(materialized_stats);
-
-            EXPECT_EQ(streamed_stats.enumerated,
-                      materialized_stats.enumerated);
-            EXPECT_EQ(streamed_stats.prunedEarly,
-                      materialized_stats.prunedEarly);
-            EXPECT_EQ(streamed_stats.analyticRanked,
-                      materialized_stats.analyticRanked);
-            EXPECT_EQ(streamed_stats.analyticFiltered,
-                      materialized_stats.analyticFiltered);
-            EXPECT_EQ(streamed_stats.evaluated,
-                      materialized_stats.evaluated);
-            EXPECT_EQ(streamed_stats.failed, materialized_stats.failed);
-            EXPECT_EQ(streamed_stats.orbitSkipped,
-                      materialized_stats.orbitSkipped);
-            expectSameStats(streamed_stats.enumeration,
-                            materialized_stats.enumeration);
+            expectSameCandidates(tiered, full);
+            expectDseInvariants(tier_stats);
+            EXPECT_EQ(tier_stats.enumerated, full_stats.enumerated);
+            EXPECT_EQ(tier_stats.prunedEarly, full_stats.prunedEarly);
+            EXPECT_EQ(tier_stats.orbitSkipped, full_stats.orbitSkipped);
+            expectSameStats(tier_stats.enumeration, full_stats.enumeration);
+            EXPECT_EQ(tier_stats.analyticRanked,
+                      full_stats.enumerated - full_stats.prunedEarly);
+            EXPECT_EQ(tier_stats.evaluated + tier_stats.failed,
+                      tier.analyticTopK);
             if (threads == 1)
-                streamed_serial_stats = streamed_stats;
+                tier_serial_stats = tier_stats;
             else {
-                EXPECT_EQ(streamed_stats.evaluated,
-                          streamed_serial_stats.evaluated);
-                expectSameStats(streamed_stats.enumeration,
-                                streamed_serial_stats.enumeration);
+                EXPECT_EQ(tier_stats.evaluated,
+                          tier_serial_stats.evaluated);
+                EXPECT_EQ(tier_stats.analyticFiltered,
+                          tier_serial_stats.analyticFiltered);
+                expectSameStats(tier_stats.enumeration,
+                                tier_serial_stats.enumeration);
             }
         }
     }
 }
 
-// The fused path with too few survivors for the tier to filter must
-// behave exactly like the materialized tier-skip: all survivors
-// elaborated, analytic counters zero.
+// With too few survivors for the tier to filter, every survivor is
+// elaborated and the analytic counters stay zero.
 TEST(EnumerateStream, FusedTierSkipsWhenSurvivorsFitInK)
 {
     auto spec = func::matmulSpec();
@@ -406,7 +399,6 @@ TEST(EnumerateStream, FusedTierSkipsWhenSurvivorsFitInK)
     options.topK = 6;
     options.threads = 1;
     options.analyticTopK = 4096; // far above the hop-2 survivor count
-    options.streamEnumeration = true;
     accel::DseStats stats;
     auto candidates = accel::exploreDataflows(
             spec, bounds, options, area_params, timing_params, &stats);

@@ -229,23 +229,28 @@ TEST(ServeProtocol, EnforcesProtocolCaps)
                  FatalError);
 }
 
-TEST(ServeProtocol, ParsesStreamToggleAndDefaultsOn)
+TEST(ServeProtocol, RejectsRemovedPrepassAndStreamFields)
 {
-    // Streaming is the default (byte-identical to materialized, so the
-    // served contract is unchanged); "stream":false forces the
-    // materialized path — the differential tests' knob over the wire.
-    Request defaults = serve::parseRequest("{\"command\":\"dse\"}");
-    EXPECT_TRUE(defaults.dse.stream);
-    Request off = serve::parseRequest(
-            "{\"command\":\"dse\",\"stream\":false}");
-    EXPECT_FALSE(off.dse.stream);
-    Request on = serve::parseRequest(
-            "{\"command\":\"dse\",\"stream\":true}");
-    EXPECT_TRUE(on.dse.stream);
-    // sim has no stream field.
-    EXPECT_THROW(serve::parseRequest(
-                         "{\"command\":\"sim\",\"stream\":true}"),
-                 FatalError);
+    // The approximate prepass and the materialized-enumeration toggle
+    // are gone; their fields are now unknown and rejected like any
+    // other typo, never silently ignored.
+    serve::Server server;
+    for (const char *text :
+         {"{\"command\":\"dse\",\"prepass\":0}",
+          "{\"command\":\"dse\",\"prepass\":24}",
+          "{\"command\":\"dse\",\"stream\":true}",
+          "{\"command\":\"dse\",\"stream\":false}",
+          "{\"command\":\"sim\",\"stream\":true}"}) {
+        SCOPED_TRACE(text);
+        EXPECT_THROW(serve::parseRequest(text), FatalError);
+        Response response =
+                serve::parseResponse(server.handleRequestText(text));
+        EXPECT_EQ(response.status, Status::Error);
+        EXPECT_EQ(response.failure.kind, util::FailureKind::UserSpec);
+        EXPECT_NE(response.failure.message.find("unknown field"),
+                  std::string::npos)
+                << response.failure.message;
+    }
 }
 
 TEST(ServeProtocol, RejectsScansBeyondTheCodeBudget)
