@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "accel/analytic.hpp"
 #include "accel/analytic_cost.hpp"
+#include "util/envelope.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
-#include "util/memo.hpp"
 
 namespace stellar::accel
 {
@@ -22,6 +20,7 @@ namespace
 {
 
 namespace json = util::json;
+namespace envelope = util::envelope;
 
 using Clock = std::chrono::steady_clock;
 
@@ -30,61 +29,67 @@ using Clock = std::chrono::steady_clock;
  *  cannot silently round them; any realistic maxPes is far below. */
 constexpr std::int64_t kMaxExactInt = std::int64_t(1) << 53;
 
+constexpr const char *kWhat = kRecordsFormat.what;
+
 [[noreturn]] void
 fail(const std::string &what)
 {
-    throw FatalError("dse shard records: " + what);
+    json::fail(kWhat, what);
 }
 
+/** The int64 members of one flat payload object, each named once for
+ *  both directions, in serialized order. */
+template <typename T>
+using IntFields =
+        std::initializer_list<std::pair<const char *, std::int64_t T::*>>;
+
+const IntFields<ShardConfig> kConfigFields = {
+        {"dim", &ShardConfig::dim},
+        {"max_hop", &ShardConfig::maxHop},
+        {"max_coeff", &ShardConfig::maxCoeff},
+        {"top_k", &ShardConfig::topK},
+        {"analytic_top_k", &ShardConfig::analyticTopK},
+        {"enum_limit", &ShardConfig::enumLimit},
+        {"max_pes", &ShardConfig::maxPes}};
+
+const IntFields<ShardRange> kRangeFields = {
+        {"shard_index", &ShardRange::shardIndex},
+        {"shard_count", &ShardRange::shardCount},
+        {"lo", &ShardRange::lo},
+        {"hi", &ShardRange::hi},
+        {"codes_total", &ShardRange::codesTotal}};
+
+using Stats = dataflow::EnumerateStats;
+const IntFields<Stats> kStatsFields = {
+        {"codes_total", &Stats::codesTotal},
+        {"codes_examined", &Stats::codesExamined},
+        {"orbit_skipped", &Stats::orbitSkipped},
+        {"decoded", &Stats::decoded},
+        {"rejected", &Stats::rejected},
+        {"duplicates", &Stats::duplicates},
+        {"yielded", &Stats::yielded}};
+
+template <typename T>
 std::string
-checksumHex(const std::string &payload)
+serializeInts(const T &object, IntFields<T> fields)
 {
-    char buffer[24];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  (unsigned long long)util::fnv1a(payload));
-    return buffer;
+    std::string out;
+    for (const auto &[name, field] : fields)
+        out += (out.empty() ? "{\"" : ",\"") + std::string(name) +
+               "\":" + std::to_string(object.*field);
+    return out + "}";
 }
 
-std::string
-serializeConfig(const ShardConfig &config)
+template <typename T>
+T
+parseInts(const json::Value &payload, const char *name, IntFields<T> fields)
 {
-    std::string out = "{\"dim\":" + std::to_string(config.dim);
-    out += ",\"max_hop\":" + std::to_string(config.maxHop);
-    out += ",\"max_coeff\":" + std::to_string(config.maxCoeff);
-    out += ",\"top_k\":" + std::to_string(config.topK);
-    out += ",\"analytic_top_k\":" + std::to_string(config.analyticTopK);
-    out += ",\"enum_limit\":" + std::to_string(config.enumLimit);
-    out += ",\"max_pes\":" + std::to_string(config.maxPes);
-    out += "}";
-    return out;
-}
-
-std::string
-serializeRange(const ShardRange &range)
-{
-    std::string out =
-            "{\"shard_index\":" + std::to_string(range.shardIndex);
-    out += ",\"shard_count\":" + std::to_string(range.shardCount);
-    out += ",\"lo\":" + std::to_string(range.lo);
-    out += ",\"hi\":" + std::to_string(range.hi);
-    out += ",\"codes_total\":" + std::to_string(range.codesTotal);
-    out += "}";
-    return out;
-}
-
-std::string
-serializeStats(const dataflow::EnumerateStats &stats)
-{
-    std::string out =
-            "{\"codes_total\":" + std::to_string(stats.codesTotal);
-    out += ",\"codes_examined\":" + std::to_string(stats.codesExamined);
-    out += ",\"orbit_skipped\":" + std::to_string(stats.orbitSkipped);
-    out += ",\"decoded\":" + std::to_string(stats.decoded);
-    out += ",\"rejected\":" + std::to_string(stats.rejected);
-    out += ",\"duplicates\":" + std::to_string(stats.duplicates);
-    out += ",\"yielded\":" + std::to_string(stats.yielded);
-    out += "}";
-    return out;
+    const json::Value &body =
+            json::member(payload, name, json::Value::Kind::Object, kWhat);
+    T object;
+    for (const auto &[key, field] : fields)
+        object.*field = json::intMember(body, key, kWhat);
+    return object;
 }
 
 std::string
@@ -92,16 +97,8 @@ serializeRecord(const CandidateRecord &record)
 {
     std::string out = "{\"code\":" + std::to_string(record.code);
     out += ",\"local_index\":" + std::to_string(record.localIndex);
-    out += ",\"rows\":" + std::to_string(record.matrix.rows());
-    out += ",\"cols\":" + std::to_string(record.matrix.cols());
-    out += ",\"matrix\":[";
-    for (int r = 0; r < record.matrix.rows(); r++)
-        for (int c = 0; c < record.matrix.cols(); c++) {
-            if (r != 0 || c != 0)
-                out += ",";
-            out += std::to_string(record.matrix.at(r, c));
-        }
-    out += "],\"signature\":[";
+    out += "," + envelope::matrixFields(record.matrix);
+    out += ",\"signature\":[";
     for (std::size_t i = 0; i < record.signature.size(); i++) {
         if (i != 0)
             out += ",";
@@ -123,9 +120,10 @@ serializeRecord(const CandidateRecord &record)
 std::string
 serializePayload(const ShardRecords &shard)
 {
-    std::string out = "{\"config\":" + serializeConfig(shard.config);
-    out += ",\"range\":" + serializeRange(shard.range);
-    out += ",\"stats\":" + serializeStats(shard.stats);
+    std::string out =
+            "{\"config\":" + serializeInts(shard.config, kConfigFields);
+    out += ",\"range\":" + serializeInts(shard.range, kRangeFields);
+    out += ",\"stats\":" + serializeInts(shard.stats, kStatsFields);
     out += ",\"records\":[";
     for (std::size_t i = 0; i < shard.records.size(); i++) {
         if (i != 0)
@@ -136,53 +134,10 @@ serializePayload(const ShardRecords &shard)
     return out;
 }
 
-const json::Value &
-member(const json::Value &object, const std::string &key)
-{
-    const json::Value *value = object.find(key);
-    if (value == nullptr)
-        fail("missing field '" + key + "'");
-    return *value;
-}
-
-std::int64_t
-intMember(const json::Value &object, const std::string &key)
-{
-    return json::toInt64(member(object, key),
-                         "dse shard records: '" + key + "'");
-}
-
-double
-numberMember(const json::Value &object, const std::string &key)
-{
-    const json::Value &value = member(object, key);
-    if (!value.isNumber())
-        fail("'" + key + "' must be a number");
-    return value.number;
-}
-
-bool
-boolMember(const json::Value &object, const std::string &key)
-{
-    const json::Value &value = member(object, key);
-    if (!value.isBool())
-        fail("'" + key + "' must be a boolean");
-    return value.boolean;
-}
-
 ShardConfig
-parseConfig(const json::Value &body)
+parseConfig(const json::Value &payload)
 {
-    if (!body.isObject())
-        fail("'config' must be an object");
-    ShardConfig config;
-    config.dim = intMember(body, "dim");
-    config.maxHop = intMember(body, "max_hop");
-    config.maxCoeff = intMember(body, "max_coeff");
-    config.topK = intMember(body, "top_k");
-    config.analyticTopK = intMember(body, "analytic_top_k");
-    config.enumLimit = intMember(body, "enum_limit");
-    config.maxPes = intMember(body, "max_pes");
+    auto config = parseInts(payload, "config", kConfigFields);
     if (config.dim < 1 || config.dim > 4096)
         fail("implausible dim " + std::to_string(config.dim));
     if (config.maxHop < 0)
@@ -202,16 +157,9 @@ parseConfig(const json::Value &body)
 }
 
 ShardRange
-parseRange(const json::Value &body)
+parseRange(const json::Value &payload)
 {
-    if (!body.isObject())
-        fail("'range' must be an object");
-    ShardRange range;
-    range.shardIndex = intMember(body, "shard_index");
-    range.shardCount = intMember(body, "shard_count");
-    range.lo = intMember(body, "lo");
-    range.hi = intMember(body, "hi");
-    range.codesTotal = intMember(body, "codes_total");
+    auto range = parseInts(payload, "range", kRangeFields);
     if (range.shardCount < 1)
         fail("shard_count must be >= 1");
     if (range.shardIndex < 0 || range.shardIndex >= range.shardCount)
@@ -240,19 +188,10 @@ parseRange(const json::Value &body)
     return range;
 }
 
-dataflow::EnumerateStats
-parseStats(const json::Value &body, const ShardRange &range)
+Stats
+parseStats(const json::Value &payload, const ShardRange &range)
 {
-    if (!body.isObject())
-        fail("'stats' must be an object");
-    dataflow::EnumerateStats stats;
-    stats.codesTotal = intMember(body, "codes_total");
-    stats.codesExamined = intMember(body, "codes_examined");
-    stats.orbitSkipped = intMember(body, "orbit_skipped");
-    stats.decoded = intMember(body, "decoded");
-    stats.rejected = intMember(body, "rejected");
-    stats.duplicates = intMember(body, "duplicates");
-    stats.yielded = intMember(body, "yielded");
+    auto stats = parseInts(payload, "stats", kStatsFields);
     if (stats.codesTotal != range.codesTotal)
         fail("stats codes_total disagrees with the shard range");
     if (stats.codesExamined != range.hi - range.lo)
@@ -277,8 +216,8 @@ parseRecord(const json::Value &body, const ShardRange &range,
     if (!body.isObject())
         fail("record must be an object");
     CandidateRecord record;
-    record.code = intMember(body, "code");
-    record.localIndex = intMember(body, "local_index");
+    record.code = json::intMember(body, "code", kWhat);
+    record.localIndex = json::intMember(body, "local_index", kWhat);
     if (record.code < range.lo || record.code >= range.hi)
         fail("record code " + std::to_string(record.code) +
              " outside the shard range");
@@ -287,39 +226,27 @@ parseRecord(const json::Value &body, const ShardRange &range,
     if (record.localIndex != std::int64_t(position))
         fail("record local_index out of sequence");
 
-    int rows = int(intMember(body, "rows"));
-    int cols = int(intMember(body, "cols"));
-    if (rows < 1 || cols < 1 || rows > 4 || cols > 4 || rows != cols)
-        fail("implausible transform shape " + std::to_string(rows) +
-             "x" + std::to_string(cols));
-    const json::Value &cells = member(body, "matrix");
-    if (!cells.isArray() ||
-        cells.array.size() != std::size_t(rows) * std::size_t(cols))
-        fail("matrix must carry rows*cols cells");
-    record.matrix = IntMatrix(rows, cols);
-    std::size_t at = 0;
-    for (int r = 0; r < rows; r++)
-        for (int c = 0; c < cols; c++)
-            record.matrix.at(r, c) = json::toInt64(
-                    cells.array[at++], "dse shard records: matrix cell");
+    record.matrix = envelope::readMatrix(body, kWhat, 4);
+    if (!record.matrix.isSquare())
+        fail("transform matrix must be square");
 
-    const json::Value &signature = member(body, "signature");
-    if (!signature.isArray())
-        fail("'signature' must be an array");
+    const json::Value &signature = json::member(
+            body, "signature", json::Value::Kind::Array, kWhat);
     record.signature.reserve(signature.array.size());
     for (const json::Value &value : signature.array)
         record.signature.push_back(json::toInt64(
                 value, "dse shard records: signature value"));
 
-    record.analyticPes = intMember(body, "analytic_pes");
+    record.analyticPes = json::intMember(body, "analytic_pes", kWhat);
     if (record.analyticPes < 0)
         fail("analytic_pes must be >= 0");
-    record.saturated = boolMember(body, "saturated");
-    record.score = numberMember(body, "score");
-    record.examinedAfter = intMember(body, "examined_after");
-    record.decodedAfter = intMember(body, "decoded_after");
-    record.rejectedAfter = intMember(body, "rejected_after");
-    record.duplicatesAfter = intMember(body, "duplicates_after");
+    record.saturated = json::boolMember(body, "saturated", kWhat);
+    record.score = json::numberMember(body, "score", kWhat);
+    record.examinedAfter = json::intMember(body, "examined_after", kWhat);
+    record.decodedAfter = json::intMember(body, "decoded_after", kWhat);
+    record.rejectedAfter = json::intMember(body, "rejected_after", kWhat);
+    record.duplicatesAfter =
+            json::intMember(body, "duplicates_after", kWhat);
     if (record.examinedAfter < 1 ||
         record.examinedAfter > range.hi - range.lo ||
         record.decodedAfter < 1 || record.rejectedAfter < 0 ||
@@ -342,50 +269,19 @@ operator==(const ShardConfig &a, const ShardConfig &b)
 std::string
 serializeShardRecords(const ShardRecords &shard)
 {
-    std::string payload = serializePayload(shard);
-    std::string out = "{\"version\":" + std::to_string(kRecordsVersion);
-    out += ",\"kind\":\"stellar-dse-shard\"";
-    out += ",\"checksum\":" + json::quote(checksumHex(payload));
-    out += ",\"payload\":" + payload;
-    out += "}";
-    return out;
+    return envelope::seal(kRecordsFormat, serializePayload(shard));
 }
 
 ShardRecords
 parseShardRecords(const std::string &text)
 {
-    json::Value root = json::parse(text, "dse shard records");
-    if (!root.isObject())
-        fail("document must be an object");
-    const json::Value *kind = root.find("kind");
-    if (kind == nullptr || !kind->isString() ||
-        kind->string != "stellar-dse-shard")
-        fail("not a stellar-dse-shard file");
-    std::int64_t version = intMember(root, "version");
-    if (version != kRecordsVersion)
-        fail("unsupported version " + std::to_string(version) +
-             " (this build reads version " +
-             std::to_string(kRecordsVersion) + ")");
-
-    // Re-serialize the parsed payload and compare checksums: any byte
-    // that changed a value anywhere is caught here, before a single
-    // record is admitted.
-    const json::Value &payload = member(root, "payload");
-    if (!payload.isObject())
-        fail("'payload' must be an object");
-    std::string canonical = json::serialize(payload);
-    const json::Value &checksum = member(root, "checksum");
-    if (!checksum.isString() ||
-        checksum.string != checksumHex(canonical))
-        fail("checksum mismatch (file damaged or hand-edited)");
-
+    json::Value payload = envelope::open(kRecordsFormat, text);
     ShardRecords shard;
-    shard.config = parseConfig(member(payload, "config"));
-    shard.range = parseRange(member(payload, "range"));
-    shard.stats = parseStats(member(payload, "stats"), shard.range);
-    const json::Value &records = member(payload, "records");
-    if (!records.isArray())
-        fail("'records' must be an array");
+    shard.config = parseConfig(payload);
+    shard.range = parseRange(payload);
+    shard.stats = parseStats(payload, shard.range);
+    const json::Value &records = json::member(
+            payload, "records", json::Value::Kind::Array, kWhat);
     if (std::int64_t(records.array.size()) != shard.stats.yielded)
         fail("record count disagrees with stats.yielded");
     shard.records.reserve(records.array.size());
@@ -401,29 +297,16 @@ parseShardRecords(const std::string &text)
 void
 saveShardRecordsFile(const ShardRecords &shard, const std::string &path)
 {
-    std::string text = serializeShardRecords(shard);
-    std::string temp = path + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            fail("cannot write " + temp);
-        out << text;
-        if (!out.flush())
-            fail("short write to " + temp);
-    }
-    if (std::rename(temp.c_str(), path.c_str()) != 0)
-        fail("cannot rename " + temp + " to " + path);
+    envelope::writeFileAtomic(path, serializeShardRecords(shard), kWhat);
 }
 
 ShardRecords
 loadShardRecordsFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::optional<std::string> text = envelope::readFile(path);
+    if (!text)
         fail("cannot read " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseShardRecords(text.str());
+    return parseShardRecords(*text);
 }
 
 ShardRecords
@@ -658,44 +541,6 @@ mergeShardRecords(std::vector<ShardRecords> shards,
     if (stats)
         *stats = local;
     return candidates;
-}
-
-std::string
-corruptShardRecords(std::string text, RecordsCorruption mode)
-{
-    switch (mode) {
-      case RecordsCorruption::TruncateTail:
-        text.resize(text.size() / 2);
-        return text;
-      case RecordsCorruption::FlipByte: {
-        // Flip a digit inside the payload so the document still parses
-        // but the checksum no longer matches.
-        std::size_t at = text.find("\"payload\":");
-        for (at = at == std::string::npos ? 0 : at; at < text.size();
-             at++) {
-            if (text[at] >= '0' && text[at] <= '8') {
-                text[at] = char(text[at] + 1);
-                return text;
-            }
-        }
-        return text;
-      }
-      case RecordsCorruption::VersionBump: {
-        std::size_t at = text.find("\"version\":");
-        if (at != std::string::npos)
-            text.replace(at, 10, "\"version\":9");
-        return text;
-      }
-      case RecordsCorruption::ChecksumClobber: {
-        std::size_t at = text.find("\"checksum\":\"");
-        if (at != std::string::npos)
-            text[at + 12] = text[at + 12] == '0' ? '1' : '0';
-        return text;
-      }
-      case RecordsCorruption::GarbageHeader:
-        return "\x7f" "ELF not json at all" + text;
-    }
-    return text;
 }
 
 } // namespace stellar::accel

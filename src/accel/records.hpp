@@ -18,12 +18,11 @@
  * therefore bit-for-bit what one process scanning the whole space
  * would produce (tests/shard_merge_test.cpp pins this differentially).
  *
- * The on-disk format mirrors serve::snapshot: a `util::json` document
- * carrying a version, a kind tag, and an FNV-1a checksum over the
- * re-serialized payload, so any damaged byte is rejected as a
- * classified FatalError before a single record is admitted. Mixed
- * versions, overlapping or gapped ranges, and shuffled input order are
- * all detected at merge time.
+ * On disk a shard is one util::envelope document (kind
+ * "stellar-dse-shard", payload member "payload"); docs/DISTRIBUTED.md
+ * describes the envelope and the payload. Mixed versions, overlapping
+ * or gapped ranges, and shuffled input order are all detected at merge
+ * time.
  */
 
 #ifndef STELLAR_ACCEL_RECORDS_HPP
@@ -36,12 +35,15 @@
 #include "accel/dse.hpp"
 #include "dataflow/enumerate.hpp"
 #include "model/params.hpp"
+#include "util/envelope.hpp"
 
 namespace stellar::accel
 {
 
-/** Format version; a mismatch is a classified load error. */
-inline constexpr int kRecordsVersion = 1;
+/** The records envelope; another version is a classified load error. */
+inline constexpr util::envelope::Format kRecordsFormat{
+        "dse shard records", "stellar-dse-shard", 1, "payload",
+        util::json::Value::Kind::Object};
 
 /**
  * The scan parameters every shard of one sweep must agree on. These
@@ -176,20 +178,6 @@ std::vector<DseCandidate> mergeShardRecords(
         const MergeEvalOptions &eval,
         const model::AreaParams &area_params,
         const model::TimingParams &timing_params, DseStats *stats);
-
-/** Deterministic corruption modes for the gauntlet tests and the
- *  records fuzz domain (mirrors serve::SnapshotCorruption). */
-enum class RecordsCorruption
-{
-    TruncateTail,    //!< cut the document in half
-    FlipByte,        //!< damage one payload digit (parses; checksum fails)
-    VersionBump,     //!< claim an unsupported version
-    ChecksumClobber, //!< damage the stored checksum itself
-    GarbageHeader,   //!< prepend non-JSON bytes
-};
-
-/** Apply one corruption mode to a serialized shard document. */
-std::string corruptShardRecords(std::string text, RecordsCorruption mode);
 
 } // namespace stellar::accel
 

@@ -6,20 +6,17 @@
  * it had already scored, so the memo is serialized to a JSON file on
  * graceful shutdown and re-loaded on start. The file is *untrusted
  * input* — it sat on disk where anything may have scribbled on it — so
- * the loader never trusts warm-start bytes: the format carries a
- * version, a magic kind string, and an FNV-1a checksum over the entry
- * payload, and every mismatch (or a transform matrix that no longer
- * inverts) raises a classified FatalError. The server catches it,
- * logs, and starts cold; a corrupt snapshot can cost warmth, never
- * correctness and never the process.
+ * it is a util::envelope document (kind "stellar-design-memo", payload
+ * member "entries"; docs/DISTRIBUTED.md describes the envelope) and
+ * every mismatch, or a transform matrix that no longer inverts, raises
+ * a classified FatalError. The server catches it, logs, and starts
+ * cold; a corrupt snapshot can cost warmth, never correctness and
+ * never the process.
  *
- * Format (version 1):
- *   {"version":1,"kind":"stellar-design-memo","checksum":"<fnv1a hex>",
- *    "entries":[{"key":"...","candidate":{"name":"...","rows":R,
- *      "cols":C,"matrix":[...row-major ints...],"enum_index":N,
- *      "pes":N,"wires":N,"wire_length":N,"schedule_length":N,
- *      "fmax_mhz":F,"area_um2":F,"score":F}}, ...]}
- * The checksum covers the exact serialized bytes of the entries array.
+ * Each entry is {"key":"...","candidate":{"name":"...","rows":R,
+ * "cols":C,"matrix":[...row-major ints...],"enum_index":N,"pes":N,
+ * "wires":N,"wire_length":N,"schedule_length":N,"fmax_mhz":F,
+ * "area_um2":F,"score":F}}.
  */
 
 #ifndef STELLAR_SERVE_SNAPSHOT_HPP
@@ -29,12 +26,15 @@
 #include <string>
 
 #include "accel/dse.hpp"
+#include "util/envelope.hpp"
 
 namespace stellar::serve
 {
 
-/** The snapshot format version this build reads and writes. */
-inline constexpr int kSnapshotVersion = 1;
+/** The snapshot envelope; another version is a classified load error. */
+inline constexpr util::envelope::Format kSnapshotFormat{
+        "design-memo snapshot", "stellar-design-memo", 1, "entries",
+        util::json::Value::Kind::Array};
 
 /** Serialize every resident memo entry. */
 std::string serializeSnapshot(const accel::DesignPointMemo &memo);
@@ -58,23 +58,6 @@ void saveSnapshotFile(const accel::DesignPointMemo &memo,
  */
 std::size_t loadSnapshotFile(accel::DesignPointMemo &memo,
                              const std::string &path);
-
-/**
- * Ways a snapshot can rot on disk, for tests (the corruptMatrixMarket
- * pattern): each mode must be *rejected with a classified error* by
- * loadSnapshot, never half-loaded or crashed on.
- */
-enum class SnapshotCorruption
-{
-    TruncateTail,    //!< partial write: file cut mid-document
-    FlipByte,        //!< bit rot inside the entries payload
-    VersionBump,     //!< written by a future format version
-    ChecksumClobber, //!< checksum field no longer matches the payload
-    GarbageHeader,   //!< not our file at all
-};
-
-/** Apply one corruption mode to a serialized snapshot. */
-std::string corruptSnapshot(std::string text, SnapshotCorruption mode);
 
 } // namespace stellar::serve
 

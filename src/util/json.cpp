@@ -317,7 +317,7 @@ serializeInto(const Value &value, std::string &out)
 } // namespace
 
 const Value *
-Value::find(const std::string &key) const
+Value::find(std::string_view key) const
 {
     for (const auto &member : object)
         if (member.first == key)
@@ -390,6 +390,62 @@ toInt64(const Value &value, const std::string &what)
         fatal(what + " must be an integer (at byte " +
               std::to_string(value.offset) + ")");
     return std::int64_t(d);
+}
+
+void
+fail(std::string_view what, const std::string &message)
+{
+    throw FatalError(std::string(what) + ": " + message);
+}
+
+const Value &
+member(const Value &object, std::string_view key, std::string_view what)
+{
+    const Value *value = object.find(key);
+    if (value == nullptr)
+        fail(what, "missing field '" + std::string(key) + "'");
+    return *value;
+}
+
+const Value &
+member(const Value &object, std::string_view key, Value::Kind kind,
+       std::string_view what)
+{
+    static const char *const kNames[] = {"null",     "a boolean",
+                                         "a number", "a string",
+                                         "an array", "an object"};
+    const Value &value = member(object, key, what);
+    if (value.kind != kind)
+        fail(what, "'" + std::string(key) + "' must be " +
+                           kNames[int(kind)]);
+    return value;
+}
+
+std::int64_t
+intMember(const Value &object, std::string_view key, std::string_view what)
+{
+    return toInt64(member(object, key, what),
+                   std::string(what) + ": '" + std::string(key) + "'");
+}
+
+double
+numberMember(const Value &object, std::string_view key,
+             std::string_view what)
+{
+    return member(object, key, Value::Kind::Number, what).number;
+}
+
+bool
+boolMember(const Value &object, std::string_view key, std::string_view what)
+{
+    return member(object, key, Value::Kind::Bool, what).boolean;
+}
+
+const std::string &
+stringMember(const Value &object, std::string_view key,
+             std::string_view what)
+{
+    return member(object, key, Value::Kind::String, what).string;
 }
 
 } // namespace stellar::util::json

@@ -13,9 +13,11 @@
  * of exhausting the stack or the heap.
  *
  * Consumers: model/calibration.cpp (corpus records), serve/protocol
- * (daemon requests/responses), serve/snapshot (design-memo warm-start
- * files). All of them validate *semantics* (required keys, value
- * ranges) on the parsed Value tree; this layer owns syntax only.
+ * (daemon requests/responses), and util/envelope with the two file
+ * formats sealed in it (accel/records, serve/snapshot). All of them
+ * validate *semantics* (required keys, value ranges) on the parsed
+ * Value tree; this layer owns syntax plus the typed member readers
+ * below.
  */
 
 #ifndef STELLAR_UTIL_JSON_HPP
@@ -24,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,7 +68,7 @@ struct Value
     bool isObject() const { return kind == Kind::Object; }
 
     /** The member named `key`, or nullptr (objects only). */
-    const Value *find(const std::string &key) const;
+    const Value *find(std::string_view key) const;
 };
 
 /** Parser limits; the defaults suit every current consumer. */
@@ -108,6 +111,31 @@ std::string quote(const std::string &text);
  * otherwise. The guard every integer-typed request field goes through.
  */
 std::int64_t toInt64(const Value &value, const std::string &what);
+
+/*
+ * Typed member readers for the file formats. `what` names the document
+ * ("dse shard records"); each failure is FatalError("<what>: ...").
+ */
+
+[[noreturn]] void fail(std::string_view what, const std::string &message);
+
+/** The member `key` of `object`; "missing field '<key>'" otherwise. */
+const Value &member(const Value &object, std::string_view key,
+                    std::string_view what);
+
+/** member() that must be of `kind`; "'<key>' must be an object" etc. */
+const Value &member(const Value &object, std::string_view key,
+                    Value::Kind kind, std::string_view what);
+
+/** member() through toInt64, and member() of one scalar kind. */
+std::int64_t intMember(const Value &object, std::string_view key,
+                       std::string_view what);
+double numberMember(const Value &object, std::string_view key,
+                    std::string_view what);
+bool boolMember(const Value &object, std::string_view key,
+                std::string_view what);
+const std::string &stringMember(const Value &object, std::string_view key,
+                                std::string_view what);
 
 } // namespace stellar::util::json
 

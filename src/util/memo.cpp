@@ -1,8 +1,8 @@
 #include "util/memo.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+
+#include "util/envelope.hpp"
 
 namespace stellar::util
 {
@@ -16,19 +16,14 @@ constexpr const char *kSpillMagic = "STLRSPL1\n";
 std::string
 spillFileName(std::uint64_t hash)
 {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%016llx.spill",
-                  (unsigned long long)hash);
-    return buffer;
+    return envelope::checksumHex(hash) + ".spill";
 }
 
+/** Bound to the entry's key, so a hash-collision file never loads. */
 std::string
-checksumHex(std::uint64_t hash)
+spillChecksum(const std::string &key, const std::string &body)
 {
-    char buffer[24];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  (unsigned long long)hash);
-    return buffer;
+    return envelope::checksumHex(fnv1a(body, fnv1a(key)));
 }
 
 /** Parse the decimal run after `prefix` at `at`; false on mismatch. */
@@ -89,36 +84,21 @@ MemoCache::spillStore(const std::string &key,
     try {
         // Serialize outside the spill mutex: hooks are user code.
         std::string body = hooks.serialize(payload);
-        std::string checksum =
-                checksumHex(fnv1a(body, fnv1a(key)));
+        std::string checksum = spillChecksum(key, body);
 
         std::lock_guard<std::mutex> lock(spill_.mutex);
         if (spill_.dir.empty())
             return;
         std::string path =
                 spill_.dir + "/" + spillFileName(fnv1a(key));
-        std::string temp = path + ".tmp";
         std::string text = kSpillMagic;
         text += "k=" + std::to_string(key.size()) + "\n";
         text += key;
         text += "\np=" + std::to_string(body.size()) + "\n";
         text += body;
         text += "\nc=" + checksum + "\n";
-        {
-            std::ofstream out(temp,
-                              std::ios::binary | std::ios::trunc);
-            if (!out)
-                return; // best effort: unwritable dir is a no-op
-            out << text;
-            if (!out.flush()) {
-                std::remove(temp.c_str());
-                return;
-            }
-        }
-        if (std::rename(temp.c_str(), path.c_str()) != 0) {
-            std::remove(temp.c_str());
-            return;
-        }
+        // Throws on failure, caught below: an unwritable dir is a no-op.
+        envelope::writeFileAtomic(path, text, "memo spill");
         // Index the file for disk-budget accounting; an overwrite of
         // the same path (hash collision, or the same key re-spilled)
         // replaces its slot rather than double-counting.
@@ -152,20 +132,17 @@ MemoCache::spillLoad(const std::string &key, std::uint64_t hash,
                      const SpillHooks &hooks, std::uint64_t &bytes_out)
 {
     try {
-        std::string text;
+        std::optional<std::string> file;
         {
             std::lock_guard<std::mutex> lock(spill_.mutex);
             if (spill_.dir.empty())
                 return nullptr;
-            std::string path =
-                    spill_.dir + "/" + spillFileName(hash);
-            std::ifstream in(path, std::ios::binary);
-            if (!in)
-                return nullptr; // never spilled (or already aged out)
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            text = buffer.str();
+            file = envelope::readFile(spill_.dir + "/" +
+                                      spillFileName(hash));
         }
+        if (!file)
+            return nullptr; // never spilled (or already aged out)
+        const std::string &text = *file;
 
         // Validate layout, key identity, and checksum; any damage —
         // truncation, a flipped byte, a hash-collision file for a
@@ -193,8 +170,7 @@ MemoCache::spillLoad(const std::string &key, std::uint64_t hash,
             return nullptr;
         std::string body = text.substr(at, body_len);
         at += body_len;
-        std::string expected =
-                checksumHex(fnv1a(body, fnv1a(key)));
+        std::string expected = spillChecksum(key, body);
         if (text.compare(at, 3 + expected.size() + 1,
                          "\nc=" + expected + "\n") != 0)
             return nullptr;
