@@ -31,12 +31,16 @@
  *   --retry-wall-clock  re-run a candidate whose wall-clock deadline
  *                    expired exactly once (transient slowness recovers;
  *                    deterministic step-budget timeouts never retry)
+ *
+ * Numeric flags take whole decimal integers; a malformed or
+ * out-of-range value exits 1 with a message naming the flag.
  */
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "accel/dse.hpp"
 #include "accel/report.hpp"
@@ -51,36 +55,54 @@ main(int argc, char **argv)
     accel::DseOptions options;
     options.topK = 12;
     options.enumerate.maxHopLength = 2;
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    constexpr std::int64_t kInt64Max =
+            std::numeric_limits<std::int64_t>::max();
+    auto usage = [] {
+        std::printf("usage: dse_explorer [--threads N] [--topk K] "
+                    "[--step-budget B] [--time-budget MS] "
+                    "[--max-pes P] [--analytic-top-k K] "
+                    "[--max-hop H] [--retry-wall-clock]\n");
+        return 1;
+    };
     for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            options.threads = std::size_t(std::max(0, std::atoi(argv[++i])));
-        else if (std::strcmp(argv[i], "--topk") == 0 && i + 1 < argc)
-            options.topK = std::size_t(std::max(1, std::atoi(argv[++i])));
-        else if (std::strcmp(argv[i], "--step-budget") == 0 && i + 1 < argc)
-            options.stepBudget =
-                    std::max<std::int64_t>(0, std::atoll(argv[++i]));
-        else if (std::strcmp(argv[i], "--time-budget") == 0 && i + 1 < argc)
-            options.timeBudgetMillis =
-                    std::max<std::int64_t>(0, std::atoll(argv[++i]));
-        else if (std::strcmp(argv[i], "--max-pes") == 0 && i + 1 < argc)
-            options.maxPes =
-                    std::max<std::int64_t>(0, std::atoll(argv[++i]));
-        else if (std::strcmp(argv[i], "--analytic-top-k") == 0 &&
-                 i + 1 < argc)
-            options.analyticTopK =
-                    std::size_t(std::max(0, std::atoi(argv[++i])));
-        else if (std::strcmp(argv[i], "--max-hop") == 0 && i + 1 < argc)
-            options.enumerate.maxHopLength =
-                    std::max<std::int64_t>(1, std::atoll(argv[++i]));
-        else if (std::strcmp(argv[i], "--retry-wall-clock") == 0)
+        const char *flag = argv[i];
+        if (std::strcmp(flag, "--retry-wall-clock") == 0) {
             options.retryWallClockTimeout = true;
-        else {
-            std::printf("usage: dse_explorer [--threads N] [--topk K] "
-                        "[--step-budget B] [--time-budget MS] "
-                        "[--max-pes P] [--analytic-top-k K] "
-                        "[--max-hop H] [--retry-wall-clock]\n");
-            return 1;
+            continue;
         }
+        // Every other flag takes one whole integer in [min, max].
+        auto integer = [&](std::int64_t min, std::int64_t max) {
+            auto value = parseInt(argv[i], min, max);
+            if (!value) {
+                std::fprintf(stderr,
+                             "error: %s wants an integer in [%lld, %lld], "
+                             "got '%s'\n",
+                             flag, (long long)min, (long long)max,
+                             argv[i]);
+                std::exit(1);
+            }
+            return *value;
+        };
+        if (i + 1 >= argc)
+            return usage();
+        i++;
+        if (std::strcmp(flag, "--threads") == 0)
+            options.threads = std::size_t(integer(0, kIntMax));
+        else if (std::strcmp(flag, "--topk") == 0)
+            options.topK = std::size_t(integer(1, kInt64Max));
+        else if (std::strcmp(flag, "--step-budget") == 0)
+            options.stepBudget = integer(0, kInt64Max);
+        else if (std::strcmp(flag, "--time-budget") == 0)
+            options.timeBudgetMillis = integer(0, kInt64Max);
+        else if (std::strcmp(flag, "--max-pes") == 0)
+            options.maxPes = integer(0, kInt64Max);
+        else if (std::strcmp(flag, "--analytic-top-k") == 0)
+            options.analyticTopK = std::size_t(integer(0, kInt64Max));
+        else if (std::strcmp(flag, "--max-hop") == 0)
+            options.enumerate.maxHopLength = integer(1, kInt64Max);
+        else
+            return usage();
     }
 
     model::AreaParams area_params;

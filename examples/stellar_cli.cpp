@@ -25,8 +25,10 @@
  * Both commands share the process-wide workload cache
  * (workloads::Cache); `--no-cache` disables it and `--cache-stats`
  * prints its counters to stderr (output on stdout is byte-identical
- * either way). `--spill-dir DIR` adds the disk-spill tier: LRU victims
- * serialize to checksummed files under DIR and reload on miss.
+ * either way).
+ *
+ * Numeric flags take whole decimal integers; a malformed or
+ * out-of-range value exits 1 with a message naming the flag.
  *
  * Distributed DSE: `dse --shard i/N --emit-records FILE` scans one
  * contiguous slice of the candidate space into a versioned records
@@ -37,9 +39,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "accel/designs.hpp"
@@ -53,6 +58,7 @@
 #include "rtl/soc.hpp"
 #include "rtl/testbench.hpp"
 #include "serve/commands.hpp"
+#include "util/strings.hpp"
 #include "workloads/cache.hpp"
 
 using namespace stellar;
@@ -137,16 +143,11 @@ usage()
             "  --no-cache        disable the workload cache (identical "
             "output, no reuse)\n"
             "  --cache-stats     print workload-cache counters to "
-            "stderr on exit\n"
-            "  --spill-dir DIR   spill workload-cache LRU victims to "
-            "checksummed files\n"
-            "                    under DIR and reload them on miss "
-            "(identical output;\n"
-            "                    corrupt files re-synthesize silently)\n"
-            "  --spill-budget B  cap the spill directory at B bytes "
-            "(0 = unbounded);\n"
-            "                    oldest spill files age out first\n");
+            "stderr on exit\n");
 }
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 // The sim/dse implementations live in serve/commands.{hpp,cpp}: the
 // serve daemon returns the same renderer's string as a response, which
@@ -174,8 +175,6 @@ main(int argc, char **argv)
     bool cache_stats = false;
     std::int64_t shard_index = 0, shard_count = 0; // 0 = unsharded
     std::string emit_records;
-    std::string spill_dir;
-    std::uint64_t spill_budget = 0;
     std::vector<std::string> merge_inputs;
     for (int i = 2; i < argc; i++) {
         std::string arg = argv[i];
@@ -186,8 +185,23 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // The next argument as a whole integer in [min, max]; anything
+        // else ends the run naming the flag.
+        auto integer = [&](std::int64_t min, std::int64_t max) {
+            const char *text = next();
+            auto value = parseInt(text, min, max);
+            if (!value) {
+                std::fprintf(stderr,
+                             "error: %s wants an integer in [%lld, %lld], "
+                             "got '%s'\n",
+                             arg.c_str(), (long long)min, (long long)max,
+                             text);
+                std::exit(1);
+            }
+            return *value;
+        };
         if (arg == "--dim")
-            dim = std::atoi(next());
+            dim = int(integer(1, kIntMax));
         else if (arg == "--out")
             out_path = next();
         else if (arg == "--report")
@@ -199,17 +213,15 @@ main(int argc, char **argv)
         else if (arg == "--selftest")
             want_selftest = true;
         else if (arg == "--dma-inflight")
-            rtl_options.dmaMaxInflight = std::atoi(next());
+            rtl_options.dmaMaxInflight = int(integer(1, kIntMax));
         else if (arg == "--threads") {
-            std::size_t threads =
-                    std::size_t(std::max(0, std::atoi(next())));
+            std::size_t threads = std::size_t(integer(0, kIntMax));
             dse_request.threads = threads;
             sim_request.threads = threads;
         } else if (arg == "--workload")
             sim_request.workload = next();
         else if (arg == "--time-budget") {
-            std::int64_t millis =
-                    std::max<std::int64_t>(0, std::atoll(next()));
+            std::int64_t millis = integer(0, kInt64Max);
             sim_request.timeBudgetMillis = millis;
             dse_request.timeBudgetMillis = millis;
         } else if (arg == "--no-cache")
@@ -217,22 +229,19 @@ main(int argc, char **argv)
         else if (arg == "--cache-stats")
             cache_stats = true;
         else if (arg == "--topk")
-            dse_request.topK = std::size_t(std::max(1, std::atoi(next())));
+            dse_request.topK = std::size_t(integer(1, kInt64Max));
         else if (arg == "--max-pes")
-            dse_request.maxPes = std::max<std::int64_t>(0, std::atoll(next()));
+            dse_request.maxPes = integer(0, kInt64Max);
         else if (arg == "--analytic-top-k")
-            dse_request.analyticTopK =
-                    std::size_t(std::max(0, std::atoi(next())));
+            dse_request.analyticTopK = std::size_t(integer(0, kInt64Max));
         else if (arg == "--max-hop")
-            dse_request.maxHop = std::max(1, std::atoi(next()));
+            dse_request.maxHop = int(integer(1, kIntMax));
         else if (arg == "--max-coeff")
-            dse_request.maxCoeff = std::max(1, std::atoi(next()));
+            dse_request.maxCoeff = int(integer(1, kIntMax));
         else if (arg == "--enum-limit")
-            dse_request.enumLimit =
-                    std::size_t(std::max(1, std::atoi(next())));
+            dse_request.enumLimit = std::size_t(integer(1, kInt64Max));
         else if (arg == "--step-budget") {
-            std::int64_t steps =
-                    std::max<std::int64_t>(0, std::atoll(next()));
+            std::int64_t steps = integer(0, kInt64Max);
             sim_request.stepBudget = steps;
             dse_request.stepBudget = steps;
         } else if (arg == "--fail-fast")
@@ -242,22 +251,22 @@ main(int argc, char **argv)
         else if (arg == "--no-timings")
             dse_request.timings = false;
         else if (arg == "--shard") {
-            long long index = 0, count = 0;
-            if (std::sscanf(next(), "%lld/%lld", &index, &count) != 2 ||
-                count < 1 || index < 0 || index >= count) {
+            std::string_view text = next();
+            std::size_t slash = text.find('/');
+            auto index = parseInt(text.substr(0, slash), 0, kInt64Max);
+            auto count = slash == std::string_view::npos
+                                 ? std::nullopt
+                                 : parseInt(text.substr(slash + 1), 1,
+                                            kInt64Max);
+            if (!index || !count || *index >= *count) {
                 std::fprintf(stderr,
                              "error: --shard wants I/N with 0 <= I < N\n");
                 return 1;
             }
-            shard_index = index;
-            shard_count = count;
+            shard_index = *index;
+            shard_count = *count;
         } else if (arg == "--emit-records")
             emit_records = next();
-        else if (arg == "--spill-dir")
-            spill_dir = next();
-        else if (arg == "--spill-budget")
-            spill_budget = std::uint64_t(
-                    std::max<std::int64_t>(0, std::atoll(next())));
         else if (design_name == "merge" && !arg.empty() && arg[0] != '-')
             merge_inputs.push_back(arg);
         else {
@@ -265,8 +274,6 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    if (!spill_dir.empty())
-        workloads::Cache::global().setSpill(spill_dir, spill_budget);
 
     // stderr, not stdout: hit/miss splits depend on thread timing,
     // and stdout stays byte-identical with the cache on and off.

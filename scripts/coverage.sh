@@ -35,7 +35,11 @@ objects="${tree}/src/CMakeFiles/stellar.dir"
 #   File '/abs/path/src/x/y.cpp'
 #   Lines executed:87.50% of 120
 # Headers pulled into each object are reported too; keep src/*.cpp.
+# An incremental tree keeps the objects of deleted sources; skip them,
+# or a removed file would count as uncovered lines forever.
 find "${objects}" -name '*.gcno' | sort | while read -r gcno; do
+    source="${repo}/src/${gcno#"${objects}/"}"
+    [ -f "${source%.gcno}" ] || continue
     (cd "$(dirname "${gcno}")" && gcov -n "$(basename "${gcno}")" 2>/dev/null)
 done | awk -v src="${repo}/src/" '
     /^File / {

@@ -23,9 +23,7 @@
  *
  * Because every accumulation below mirrors model::arrayArea /
  * model::timingOf term-for-term in the same order, the analytic score
- * is BIT-IDENTICAL to the elaborated score whenever (a) the balancing
- * spec is empty (balancing is transform-specific and prunes conns the
- * model cannot see without elaborating) and (b) nothing saturates.
+ * is BIT-IDENTICAL to the elaborated score whenever nothing saturates.
  * That exactness is what lets the DSE's analytic tier keep only top-K
  * candidates and still reproduce the full ranking; the differential
  * tests pin it.

@@ -43,7 +43,6 @@ evaluateCandidate(const dataflow::SpaceTimeTransform &transform,
     spec.functional = functional;
     spec.transform = transform;
     spec.sparsity = options.sparsity;
-    spec.balancing = options.balancing;
     spec.elaborationBounds = bounds;
     auto generated = core::generate(spec);
     util::fault::checkpoint("dse.score");
@@ -82,17 +81,16 @@ candidateBytes(const DseCandidate &candidate)
 
 std::string
 DesignPointMemo::candidateKey(const std::string &spec_key,
-                              const IntVec &bounds, int data_width,
-                              int mac_bits,
+                              const IntVec &bounds,
                               const dataflow::SpaceTimeTransform &transform)
 {
     std::string key = spec_key;
     key += "|b=";
     key += vecToString(bounds);
     key += "|w=";
-    key += std::to_string(data_width);
+    key += std::to_string(DseOptions::dataWidth);
     key += "/";
-    key += std::to_string(mac_bits);
+    key += std::to_string(DseOptions::macBits);
     key += "|T=";
     const IntMatrix &matrix = transform.matrix();
     key += std::to_string(matrix.rows());
@@ -231,8 +229,7 @@ evaluateAndRank(
                                      functional, bounds, options,
                                      area_params, timing_params);
         std::string key = DesignPointMemo::candidateKey(
-                options.memoSpecKey, bounds, options.dataWidth,
-                options.macBits, work[i].second);
+                options.memoSpecKey, bounds, work[i].second);
         if (auto hit = options.memo->lookup(key)) {
             // The payload's enumIndex belongs to whichever call
             // populated it; rebind to this enumeration so ranking

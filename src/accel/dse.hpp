@@ -74,15 +74,14 @@ class DesignPointMemo
     /**
      * The canonical key for one candidate. `spec_key` is the caller's
      * canonical identity for everything that determines a score besides
-     * the transform and bounds: the functional spec, sparsity,
-     * balancing, and area/timing params (FunctionalSpec has no
-     * canonical serializer, so the caller owns this). Keys also fold in
-     * dataWidth/macBits and the full transform matrix, so distinct
-     * design points can never alias.
+     * the transform and bounds: the functional spec, sparsity and
+     * area/timing params (FunctionalSpec has no canonical serializer,
+     * so the caller owns this). Keys also fold in the model widths
+     * (DseOptions::dataWidth/macBits) and the full transform matrix,
+     * so distinct design points can never alias.
      */
     static std::string candidateKey(
             const std::string &spec_key, const IntVec &bounds,
-            int data_width, int mac_bits,
             const dataflow::SpaceTimeTransform &transform);
 
     /** The memoized candidate for `key`, or nullptr. */
@@ -119,8 +118,11 @@ struct DseOptions
 {
     dataflow::EnumerateOptions enumerate;
     std::size_t topK = 10;
-    int dataWidth = 8;
-    int macBits = 8;
+
+    /** Operand and MAC widths of the area model. Fixed: the shard scan,
+     *  the memo keys and the recorded scores all assume these values. */
+    static constexpr int dataWidth = 8;
+    static constexpr int macBits = 8;
 
     /**
      * Worker threads for candidate evaluation: 0 = hardware concurrency,
@@ -150,22 +152,20 @@ struct DseOptions
      * vector is never materialized, so the heap is the only O(K) state
      * and hop-4-scale walks (1e8 codes) fit under `enumerate.limit`.
      *
-     * With an empty balancing spec the analytic score is bit-identical
-     * to the elaborated one, so the final ranking equals a full run's
-     * top-K exactly (the differential tests pin this). With balancing,
-     * the analytic score ignores the balance pruning and the tier is a
-     * heuristic filter — set this comfortably above topK. The tier is
-     * scored serially in enumeration order, so rankings stay
-     * byte-identical at any thread or enumeration-shard count. 0
-     * disables the tier: every surviving candidate is elaborated.
+     * The analytic score is bit-identical to the elaborated one for
+     * every candidate that does not saturate, so the final ranking
+     * equals a full run's top-K exactly (the differential tests pin
+     * this). The tier is scored serially in enumeration order, so
+     * rankings stay byte-identical at any thread or enumeration-shard
+     * count. 0 disables the tier: every surviving candidate is
+     * elaborated.
      */
     std::size_t analyticTopK = 0;
 
-    /** Optional sparsity/balancing applied to every candidate, so the
-     *  search sees the interactions between dataflow and the other
-     *  concerns (pruned conns change both wiring and regfile cost). */
+    /** Optional sparsity applied to every candidate, so the search
+     *  sees the interactions between dataflow and sparsity (pruned
+     *  conns change both wiring and regfile cost). */
     sparsity::SparsitySpec sparsity;
-    balance::BalanceSpec balancing;
 
     /**
      * Per-candidate watchdog step budget for elaboration and scoring

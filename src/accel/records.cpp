@@ -338,12 +338,13 @@ scanShard(const func::FunctionalSpec &functional, const IntVec &bounds,
     enumerate.shardCount = shard_count;
 
     // Score with the same model and widths the single-process fused
-    // path constructs (DseOptions defaults — renderDse never overrides
-    // them), so recorded scores merge bit-for-bit.
-    DseOptions defaults;
-    AnalyticCostModel cost_model(functional, bounds, defaults.sparsity,
-                                 defaults.dataWidth, defaults.macBits,
-                                 area_params, timing_params);
+    // path constructs (no sparsity — renderDse never sets one), so
+    // recorded scores merge bit-for-bit.
+    AnalyticCostModel cost_model(functional, bounds,
+                                 sparsity::SparsitySpec{},
+                                 DseOptions::dataWidth,
+                                 DseOptions::macBits, area_params,
+                                 timing_params);
 
     dataflow::forEachTransform(
             functional, enumerate,

@@ -12,57 +12,51 @@ namespace stellar::accel
 std::string
 designReport(const core::GeneratedAccelerator &accel,
              const model::AreaParams &area_params,
-             const model::TimingParams &timing_params,
-             const ReportOptions &options)
+             const model::TimingParams &timing_params)
 {
     std::ostringstream os;
     const auto &spec = accel.spec;
     const auto &fn = spec.functional;
     os << "==== design report: " << spec.name << " ====\n";
 
-    if (options.includeSpecs) {
-        os << "\n-- functionality --\n" << fn.toString();
-        os << "\n-- dataflow --\n" << spec.transform.toString() << "\n";
-        if (!spec.sparsity.empty())
-            os << "\n-- sparsity --\n" << spec.sparsity.toString(fn);
-        if (!spec.balancing.empty()) {
-            os << "\n-- load balancing --\n"
-               << spec.balancing.toString(fn)
-               << "granularity: "
-               << (spec.balancing.granularity(spec.transform) ==
-                                   balance::Granularity::PerPE
-                           ? "per-PE"
-                           : "row-granular")
+    os << "\n-- functionality --\n" << fn.toString();
+    os << "\n-- dataflow --\n" << spec.transform.toString() << "\n";
+    if (!spec.sparsity.empty())
+        os << "\n-- sparsity --\n" << spec.sparsity.toString(fn);
+    if (!spec.balancing.empty()) {
+        os << "\n-- load balancing --\n"
+           << spec.balancing.toString(fn) << "granularity: "
+           << (spec.balancing.granularity(spec.transform) ==
+                               balance::Granularity::PerPE
+                       ? "per-PE"
+                       : "row-granular")
+           << "\n";
+    }
+    if (!spec.buffers.empty()) {
+        os << "\n-- private memory buffers --\n";
+        for (const auto &buffer : spec.buffers) {
+            auto stages = mem::planPipeline(buffer, true);
+            os << "  " << padRight(buffer.name, 12) << " "
+               << buffer.format.toString() << ", "
+               << buffer.capacityBytes / 1024 << " KiB, "
+               << stages.size() << " read stages ("
+               << mem::pipelineLatency(stages) << " cycles)\n";
+        }
+    }
+    if (!accel.pruneLog.empty()) {
+        os << "\n-- pruning decisions (Sec IV-B) --\n";
+        for (const auto &decision : accel.pruneLog) {
+            os << "  " << fn.tensorNames()[std::size_t(decision.tensor)]
+               << " along " << vecToString(decision.diff) << ": "
+               << (decision.bundled ? "bundled (OptimisticSkip)"
+                                    : "pruned")
                << "\n";
         }
-        if (options.includeBuffers && !spec.buffers.empty()) {
-            os << "\n-- private memory buffers --\n";
-            for (const auto &buffer : spec.buffers) {
-                auto stages = mem::planPipeline(buffer, true);
-                os << "  " << padRight(buffer.name, 12) << " "
-                   << buffer.format.toString() << ", "
-                   << buffer.capacityBytes / 1024 << " KiB, "
-                   << stages.size() << " read stages ("
-                   << mem::pipelineLatency(stages) << " cycles)\n";
-            }
-        }
-        if (!accel.pruneLog.empty()) {
-            os << "\n-- pruning decisions (Sec IV-B) --\n";
-            for (const auto &decision : accel.pruneLog) {
-                os << "  " << fn.tensorNames()[std::size_t(decision.tensor)]
-                   << " along " << vecToString(decision.diff) << ": "
-                   << (decision.bundled ? "bundled (OptimisticSkip)"
-                                        : "pruned")
-                   << "\n";
-            }
-        }
     }
 
-    if (options.includeArray) {
-        os << "\n-- spatial array --\n" << accel.array.toString(fn);
-    }
+    os << "\n-- spatial array --\n" << accel.array.toString(fn);
 
-    if (options.includeRegfiles && !accel.regfiles.empty()) {
+    if (!accel.regfiles.empty()) {
         os << "\n-- register files (Fig 14) --\n";
         for (const auto &plan : accel.regfiles) {
             os << "  " << padRight(plan.tensorName, 4) << " "
@@ -74,32 +68,28 @@ designReport(const core::GeneratedAccelerator &accel,
         }
     }
 
-    if (options.includeArea) {
-        os << "\n-- modeled area --\n";
-        double array_area = model::arrayArea(area_params, accel,
-                                             options.macBits,
-                                             options.dataWidth, true);
-        os << "  spatial array: "
-           << formatDouble(array_area / 1e3, 1) << "K um^2\n";
-        double regfiles = 0.0;
-        for (const auto &plan : accel.regfiles)
-            regfiles += model::regfileArea(area_params, plan.config,
-                                           options.dataWidth, 16);
-        os << "  regfiles:      " << formatDouble(regfiles / 1e3, 1)
-           << "K um^2\n";
-        double buffers = 0.0;
-        for (const auto &buffer : spec.buffers)
-            buffers += model::bufferArea(area_params, buffer);
-        os << "  buffers:       " << formatDouble(buffers / 1e3, 1)
-           << "K um^2\n";
-    }
+    os << "\n-- modeled area --\n";
+    double array_area =
+            model::arrayArea(area_params, accel, DseOptions::macBits,
+                             DseOptions::dataWidth, true);
+    os << "  spatial array: " << formatDouble(array_area / 1e3, 1)
+       << "K um^2\n";
+    double regfiles = 0.0;
+    for (const auto &plan : accel.regfiles)
+        regfiles += model::regfileArea(area_params, plan.config,
+                                       DseOptions::dataWidth, 16);
+    os << "  regfiles:      " << formatDouble(regfiles / 1e3, 1)
+       << "K um^2\n";
+    double buffers = 0.0;
+    for (const auto &buffer : spec.buffers)
+        buffers += model::bufferArea(area_params, buffer);
+    os << "  buffers:       " << formatDouble(buffers / 1e3, 1)
+       << "K um^2\n";
 
-    if (options.includeTiming) {
-        auto timing = model::timingOf(timing_params, accel, false);
-        os << "\n-- timing --\n  Fmax " << formatDouble(timing.fmaxMhz(), 0)
-           << " MHz, critical path: " << timing.slowest()->name << " ("
-           << formatDouble(timing.criticalPathNs(), 2) << " ns)\n";
-    }
+    auto timing = model::timingOf(timing_params, accel, false);
+    os << "\n-- timing --\n  Fmax " << formatDouble(timing.fmaxMhz(), 0)
+       << " MHz, critical path: " << timing.slowest()->name << " ("
+       << formatDouble(timing.criticalPathNs(), 2) << " ns)\n";
     return os.str();
 }
 

@@ -21,24 +21,11 @@
 namespace stellar::accel
 {
 
-/** Options controlling which report sections appear. */
-struct ReportOptions
-{
-    bool includeSpecs = true;
-    bool includeArray = true;
-    bool includeRegfiles = true;
-    bool includeBuffers = true;
-    bool includeArea = true;
-    bool includeTiming = true;
-    int dataWidth = 8;
-    int macBits = 8;
-};
-
-/** Render the full report. */
+/** Render the full report; area uses the DSE's model widths
+ *  (DseOptions::dataWidth/macBits). */
 std::string designReport(const core::GeneratedAccelerator &accel,
                          const model::AreaParams &area_params,
-                         const model::TimingParams &timing_params,
-                         const ReportOptions &options = {});
+                         const model::TimingParams &timing_params);
 
 /**
  * One-paragraph summary of a DSE run: candidates enumerated, pruned

@@ -40,8 +40,6 @@ memoStatsJson(const util::MemoStats &stats)
     out += ",\"evictions\":" + std::to_string(stats.evictions);
     out += ",\"bytes\":" + std::to_string(stats.bytes);
     out += ",\"entries\":" + std::to_string(stats.entries);
-    out += ",\"spills\":" + std::to_string(stats.spills);
-    out += ",\"reloads\":" + std::to_string(stats.reloads);
     out += "}";
     return out;
 }

@@ -7,9 +7,6 @@
  *   {"version":V,"kind":"<kind>","checksum":"<16 hex>","<key>":<payload>}
  * with an FNV-1a checksum over the payload's serialized bytes;
  * docs/DISTRIBUTED.md ("The file envelope") describes it for users.
- * MemoCache spill files (util/memo) keep their length-prefixed layout —
- * their bodies are hook output, not JSON — and share only checksumHex
- * and writeFileAtomic.
  */
 
 #ifndef STELLAR_UTIL_ENVELOPE_HPP

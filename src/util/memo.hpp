@@ -28,8 +28,8 @@
 #ifndef STELLAR_UTIL_MEMO_HPP
 #define STELLAR_UTIL_MEMO_HPP
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -66,28 +66,6 @@ struct MemoStats
     std::uint64_t evictions = 0;
     std::uint64_t bytes = 0;   //!< resident payload bytes
     std::uint64_t entries = 0; //!< resident entry count
-
-    /** Disk-spill tier (0 unless setSpill configured a directory). A
-     *  reload also counts as a hit (and as an insert, since the entry
-     *  re-enters the resident tier); spills track files written. */
-    std::uint64_t spills = 0;
-    std::uint64_t reloads = 0;
-};
-
-/**
- * Type-erased (de)serializers the disk-spill tier uses for one payload
- * family. The typed layer (workloads::Cache) owns the wire format;
- * MemoCache owns files, checksums, and budget. `deserialize` returns
- * the payload and fills `bytes_out` with its resident size. Hooks run
- * outside every shard mutex but must not reenter the cache.
- */
-struct SpillHooks
-{
-    std::function<std::string(const std::shared_ptr<const void> &)>
-            serialize;
-    std::function<std::shared_ptr<const void>(const std::string &,
-                                              std::uint64_t &bytes_out)>
-            deserialize;
 };
 
 class MemoCache
@@ -120,64 +98,25 @@ class MemoCache
     }
 
     /**
-     * Configure the optional disk-spill tier: LRU victims whose insert
-     * carried SpillHooks serialize to checksummed files under `dir`
-     * (oldest spill files are unlinked past `disk_byte_budget`; 0
-     * means unbounded), and a lookup miss with hooks re-loads from
-     * disk — so an eviction storm degrades to warm-disk instead of
-     * re-synthesis. An empty `dir` disables the tier. Corrupt,
-     * truncated, or mismatched spill files are silently treated as
-     * misses; spilling itself is best-effort and never raises.
-     */
-    void setSpill(const std::string &dir,
-                  std::uint64_t disk_byte_budget = 0);
-
-    /** True when a spill directory is configured. */
-    bool spillEnabled() const;
-
-    /** The configured spill directory ("" when disabled). */
-    std::string spillDir() const;
-
-    /**
      * Find `key` (whose FNV-1a hash is `hash`); returns the payload and
-     * marks the entry most-recently-used, or nullptr on a miss. With
-     * `hooks` and a configured spill directory, a resident miss falls
-     * through to the disk tier: a valid spill file re-enters the cache
-     * (counted as a hit, a reload, and an insert), anything else is a
-     * miss. Exactly one of hits/misses is incremented per call.
+     * marks the entry most-recently-used, or nullptr on a miss. Exactly
+     * one of hits/misses is incremented per call, under the same lock
+     * as the lookup, so hits + misses == lookups at every snapshot.
      */
     std::shared_ptr<const void>
-    lookup(const std::string &key, std::uint64_t hash,
-           const SpillHooks *hooks = nullptr)
+    lookup(const std::string &key, std::uint64_t hash)
     {
         Shard &shard = shardFor(hash);
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            shard.lookups++;
-            auto it = shard.map.find(key);
-            if (it != shard.map.end()) {
-                shard.hits++;
-                shard.lru.splice(shard.lru.begin(), shard.lru,
-                                 it->second);
-                return it->second->payload;
-            }
-            if (hooks == nullptr || !hooks->deserialize ||
-                !spillEnabled()) {
-                shard.misses++;
-                return nullptr;
-            }
-        }
-        std::uint64_t bytes = 0;
-        auto payload = spillLoad(key, hash, *hooks, bytes);
-        if (payload == nullptr) {
-            std::lock_guard<std::mutex> lock(shard.mutex);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        shard.lookups++;
+        auto it = shard.map.find(key);
+        if (it == shard.map.end()) {
             shard.misses++;
             return nullptr;
         }
-        payload = insert(key, hash, std::move(payload), bytes, hooks);
-        std::lock_guard<std::mutex> lock(shard.mutex);
         shard.hits++;
-        return payload;
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        return it->second->payload;
     }
 
     /**
@@ -185,55 +124,39 @@ class MemoCache
      * size) and evict LRU entries past the shard budget. If the key is
      * already resident — two threads missed and synthesized
      * concurrently — the incumbent wins and is returned, so every
-     * caller shares one payload. Returns the resident payload. The
-     * entry remembers `hooks`: with a configured spill directory,
-     * victims of any later eviction that carry hooks are serialized to
-     * spill files (outside the shard mutex, with *their own* hooks —
-     * one shard mixes payload types) instead of vanishing.
+     * caller shares one payload. Returns the resident payload.
      */
     std::shared_ptr<const void>
     insert(const std::string &key, std::uint64_t hash,
-           std::shared_ptr<const void> payload, std::uint64_t bytes,
-           const SpillHooks *hooks = nullptr)
+           std::shared_ptr<const void> payload, std::uint64_t bytes)
     {
         Shard &shard = shardFor(hash);
-        std::vector<Entry> victims;
-        std::shared_ptr<const void> resident;
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            auto it = shard.map.find(key);
-            if (it != shard.map.end()) {
-                shard.lru.splice(shard.lru.begin(), shard.lru,
-                                 it->second);
-                return it->second->payload;
-            }
-            shard.lru.push_front(Entry{key, std::move(payload), bytes,
-                                       hooks});
-            shard.map.emplace(key, shard.lru.begin());
-            shard.bytes += bytes;
-            shard.inserts++;
-            while (shard.byteBudget > 0 &&
-                   shard.bytes > shard.byteBudget &&
-                   shard.lru.size() > 1) {
-                Entry &victim = shard.lru.back();
-                shard.bytes -= victim.bytes;
-                shard.map.erase(victim.key);
-                victims.push_back(std::move(victim));
-                shard.lru.pop_back();
-                shard.evictions++;
-            }
-            resident = shard.lru.front().payload;
+        // Declared before the lock, so the cache's last references to
+        // evicted payloads drop (and the payloads free) after unlock.
+        std::vector<std::shared_ptr<const void>> evicted;
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        auto it = shard.map.find(key);
+        if (it != shard.map.end()) {
+            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+            return it->second->payload;
         }
-        if (!victims.empty() && spillEnabled()) {
-            for (const Entry &victim : victims)
-                if (victim.hooks != nullptr && victim.hooks->serialize)
-                    spillStore(victim.key, victim.payload,
-                               *victim.hooks);
+        shard.lru.push_front(Entry{key, std::move(payload), bytes});
+        shard.map.emplace(key, shard.lru.begin());
+        shard.bytes += bytes;
+        shard.inserts++;
+        while (shard.byteBudget > 0 && shard.bytes > shard.byteBudget &&
+               shard.lru.size() > 1) {
+            Entry &victim = shard.lru.back();
+            shard.bytes -= victim.bytes;
+            shard.map.erase(victim.key);
+            evicted.push_back(std::move(victim.payload));
+            shard.lru.pop_back();
+            shard.evictions++;
         }
-        return resident;
+        return shard.lru.front().payload;
     }
 
-    /** Drop every entry, resident and spilled (counters are kept). */
+    /** Drop every entry (counters are kept). */
     void
     clear()
     {
@@ -243,7 +166,6 @@ class MemoCache
             shard.map.clear();
             shard.lru.clear();
         }
-        spillWipe();
     }
 
     /** Reset counters *and* contents (for test isolation). */
@@ -258,9 +180,6 @@ class MemoCache
             shard.lookups = shard.hits = shard.misses = 0;
             shard.inserts = shard.evictions = 0;
         }
-        spillWipe();
-        std::lock_guard<std::mutex> lock(spill_.mutex);
-        spill_.spills = spill_.reloads = 0;
     }
 
     /**
@@ -296,9 +215,6 @@ class MemoCache
             total.bytes += shard.bytes;
             total.entries += shard.lru.size();
         }
-        std::lock_guard<std::mutex> lock(spill_.mutex);
-        total.spills = spill_.spills;
-        total.reloads = spill_.reloads;
         return total;
     }
 
@@ -308,10 +224,6 @@ class MemoCache
         std::string key;
         std::shared_ptr<const void> payload;
         std::uint64_t bytes = 0;
-        /** The inserter's spill hooks. Victims are serialized with
-         *  *their own* hooks — one shard mixes payload types, so using
-         *  the evicting caller's hooks would type-confuse the cast. */
-        const SpillHooks *hooks = nullptr;
     };
 
     struct Shard
@@ -328,50 +240,13 @@ class MemoCache
         std::uint64_t evictions = 0;
     };
 
-    /** Disk-spill tier state; one mutex guards config, the file index,
-     *  and all spill IO (spill traffic is eviction-rate, not hit-rate,
-     *  so serializing it is cheap and keeps torn writes impossible
-     *  even before the temp+rename dance). */
-    struct SpillState
-    {
-        mutable std::mutex mutex;
-        std::string dir;
-        std::uint64_t diskBudget = 0;
-        std::uint64_t diskBytes = 0;
-        //!< FIFO of (path, size) written this configuration; oldest
-        //!< files are unlinked first when over the disk budget.
-        std::list<std::pair<std::string, std::uint64_t>> order;
-        std::unordered_map<std::string,
-                           std::list<std::pair<std::string,
-                                               std::uint64_t>>::iterator>
-                index;
-        std::uint64_t spills = 0;
-        std::uint64_t reloads = 0;
-    };
-
     Shard &
     shardFor(std::uint64_t hash)
     {
         return shards_[hash % kShardCount];
     }
 
-    /** Serialize + write one victim (best-effort; never throws). */
-    void spillStore(const std::string &key,
-                    const std::shared_ptr<const void> &payload,
-                    const SpillHooks &hooks);
-
-    /** Read + validate + deserialize one spill file; nullptr on any
-     *  damage or mismatch (the caller records a plain miss). */
-    std::shared_ptr<const void> spillLoad(const std::string &key,
-                                          std::uint64_t hash,
-                                          const SpillHooks &hooks,
-                                          std::uint64_t &bytes_out);
-
-    /** Unlink every indexed spill file and empty the index. */
-    void spillWipe();
-
     Shard shards_[kShardCount];
-    SpillState spill_;
 };
 
 } // namespace stellar::util

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -90,6 +91,17 @@ padRight(const std::string &text, std::size_t width)
     if (text.size() >= width)
         return text;
     return text + std::string(width - text.size(), ' ');
+}
+
+std::optional<std::int64_t>
+parseInt(std::string_view text, std::int64_t min, std::int64_t max)
+{
+    std::int64_t value = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || ptr != end || value < min || value > max)
+        return std::nullopt;
+    return value;
 }
 
 } // namespace stellar

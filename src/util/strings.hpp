@@ -6,7 +6,10 @@
 #ifndef STELLAR_UTIL_STRINGS_HPP
 #define STELLAR_UTIL_STRINGS_HPP
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stellar
@@ -36,6 +39,16 @@ std::string padLeft(const std::string &text, std::size_t width);
 
 /** Right-pad to a width (for aligned report tables). */
 std::string padRight(const std::string &text, std::size_t width);
+
+/**
+ * Parse the whole of `text` as a decimal integer in [min, max]: an
+ * optional '-' and then digits only. Anything else — empty text, a '+',
+ * spaces, trailing characters, a value outside the range or outside
+ * int64 — yields nullopt. Command-line front ends use it so a typo
+ * fails instead of becoming 0 the way atoi would.
+ */
+std::optional<std::int64_t> parseInt(std::string_view text,
+                                     std::int64_t min, std::int64_t max);
 
 } // namespace stellar
 

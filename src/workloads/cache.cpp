@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "sparse/matrix.hpp"
@@ -63,124 +62,6 @@ structuredBytes(const sparse::StructuredMatrix &m)
     return sizeof(sparse::StructuredMatrix) +
            vectorBytes(m.values.size(), sizeof(double)) +
            vectorBytes(m.selectors.size(), sizeof(std::uint8_t));
-}
-
-// --- spill wire format -------------------------------------------------
-//
-// Little-endian fixed-width fields via memcpy (one platform, exact
-// round-trip; doubles pass through their bit patterns untouched, so a
-// reloaded payload is bit-identical to the synthesis it spilled from).
-// Readers bounds-check every field and throw FatalError on damage —
-// MemoCache::spillLoad catches anything and records a plain miss.
-
-void
-putU64(std::string &out, std::uint64_t value)
-{
-    char bytes[8];
-    for (int i = 0; i < 8; i++)
-        bytes[i] = char((value >> (8 * i)) & 0xff);
-    out.append(bytes, 8);
-}
-
-void
-putI64(std::string &out, std::int64_t value)
-{
-    putU64(out, std::uint64_t(value));
-}
-
-std::uint64_t
-getU64(const std::string &text, std::size_t &at)
-{
-    if (at + 8 > text.size())
-        throw FatalError("workload spill: truncated payload");
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; i++)
-        value |= std::uint64_t(std::uint8_t(text[at + std::size_t(i)]))
-                 << (8 * i);
-    at += 8;
-    return value;
-}
-
-std::int64_t
-getI64(const std::string &text, std::size_t &at)
-{
-    return std::int64_t(getU64(text, at));
-}
-
-/** Length guard: a damaged count must die by diagnostic, not by a
- *  multi-terabyte allocation. `element` is a lower bound on the bytes
- *  each element still to be read must occupy. */
-std::size_t
-getCount(const std::string &text, std::size_t &at, std::size_t element)
-{
-    std::uint64_t count = getU64(text, at);
-    std::uint64_t remaining = text.size() - at;
-    if (element == 0)
-        element = 1;
-    if (count > remaining / element)
-        throw FatalError("workload spill: implausible element count");
-    return std::size_t(count);
-}
-
-void
-putI64Vec(std::string &out, const std::vector<std::int64_t> &values)
-{
-    putU64(out, values.size());
-    for (std::int64_t value : values)
-        putI64(out, value);
-}
-
-std::vector<std::int64_t>
-getI64Vec(const std::string &text, std::size_t &at)
-{
-    std::size_t count = getCount(text, at, 8);
-    std::vector<std::int64_t> values;
-    values.reserve(count);
-    for (std::size_t i = 0; i < count; i++)
-        values.push_back(getI64(text, at));
-    return values;
-}
-
-void
-putDoubleVec(std::string &out, const std::vector<double> &values)
-{
-    putU64(out, values.size());
-    for (double value : values) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &value, 8);
-        putU64(out, bits);
-    }
-}
-
-std::vector<double>
-getDoubleVec(const std::string &text, std::size_t &at)
-{
-    std::size_t count = getCount(text, at, 8);
-    std::vector<double> values;
-    values.reserve(count);
-    for (std::size_t i = 0; i < count; i++) {
-        std::uint64_t bits = getU64(text, at);
-        double value;
-        std::memcpy(&value, &bits, 8);
-        values.push_back(value);
-    }
-    return values;
-}
-
-void
-expectTag(const std::string &text, std::size_t &at, const char *tag)
-{
-    std::size_t len = std::char_traits<char>::length(tag);
-    if (text.compare(at, len, tag) != 0)
-        throw FatalError("workload spill: wrong payload tag");
-    at += len;
-}
-
-void
-expectEnd(const std::string &text, std::size_t at)
-{
-    if (at != text.size())
-        throw FatalError("workload spill: trailing bytes");
 }
 
 } // namespace
@@ -252,140 +133,6 @@ Cache::global()
     return *cache;
 }
 
-const util::SpillHooks &
-csrSpillHooks()
-{
-    static const util::SpillHooks hooks = {
-            [](const std::shared_ptr<const void> &payload) {
-                const auto &m = *std::static_pointer_cast<
-                        const sparse::CsrMatrix>(payload);
-                std::string out = "CSR1";
-                putI64(out, m.rows());
-                putI64(out, m.cols());
-                putI64Vec(out, m.rowPtr());
-                putI64Vec(out, m.colIdx());
-                putDoubleVec(out, m.values());
-                return out;
-            },
-            [](const std::string &body, std::uint64_t &bytes_out)
-                    -> std::shared_ptr<const void> {
-                std::size_t at = 0;
-                expectTag(body, at, "CSR1");
-                std::int64_t rows = getI64(body, at);
-                std::int64_t cols = getI64(body, at);
-                auto row_ptr = getI64Vec(body, at);
-                auto col_idx = getI64Vec(body, at);
-                auto values = getDoubleVec(body, at);
-                expectEnd(body, at);
-                // The constructor re-validates shape invariants; a
-                // damaged-but-parseable body dies there, classified.
-                auto matrix = std::make_shared<const sparse::CsrMatrix>(
-                        rows, cols, std::move(row_ptr),
-                        std::move(col_idx), std::move(values));
-                bytes_out = csrBytes(*matrix);
-                return matrix;
-            },
-    };
-    return hooks;
-}
-
-const util::SpillHooks &
-partialsSpillHooks()
-{
-    static const util::SpillHooks hooks = {
-            [](const std::shared_ptr<const void> &payload) {
-                const auto &partials = *std::static_pointer_cast<
-                        const std::vector<sparse::PartialMatrix>>(
-                        payload);
-                std::string out = "PRT1";
-                putU64(out, partials.size());
-                for (const auto &partial : partials) {
-                    putI64Vec(out, partial.rowIds);
-                    putU64(out, partial.rowFibers.size());
-                    for (const auto &fiber : partial.rowFibers) {
-                        putI64Vec(out, fiber.coords);
-                        putDoubleVec(out, fiber.values);
-                    }
-                }
-                return out;
-            },
-            [](const std::string &body, std::uint64_t &bytes_out)
-                    -> std::shared_ptr<const void> {
-                std::size_t at = 0;
-                expectTag(body, at, "PRT1");
-                std::size_t count = getCount(body, at, 16);
-                auto partials = std::make_shared<
-                        std::vector<sparse::PartialMatrix>>();
-                partials->reserve(count);
-                for (std::size_t i = 0; i < count; i++) {
-                    sparse::PartialMatrix partial;
-                    partial.rowIds = getI64Vec(body, at);
-                    std::size_t fibers = getCount(body, at, 16);
-                    partial.rowFibers.reserve(fibers);
-                    for (std::size_t f = 0; f < fibers; f++) {
-                        sparse::Fiber fiber;
-                        fiber.coords = getI64Vec(body, at);
-                        fiber.values = getDoubleVec(body, at);
-                        partial.rowFibers.push_back(std::move(fiber));
-                    }
-                    partials->push_back(std::move(partial));
-                }
-                expectEnd(body, at);
-                bytes_out = partialsBytes(*partials);
-                return std::shared_ptr<
-                        const std::vector<sparse::PartialMatrix>>(
-                        std::move(partials));
-            },
-    };
-    return hooks;
-}
-
-const util::SpillHooks &
-structuredSpillHooks()
-{
-    static const util::SpillHooks hooks = {
-            [](const std::shared_ptr<const void> &payload) {
-                const auto &m = *std::static_pointer_cast<
-                        const sparse::StructuredMatrix>(payload);
-                std::string out = "STM1";
-                putI64(out, m.rows);
-                putI64(out, m.cols);
-                putI64(out, m.keepN);
-                putI64(out, m.groupM);
-                putDoubleVec(out, m.values);
-                putU64(out, m.selectors.size());
-                out.append(reinterpret_cast<const char *>(
-                                   m.selectors.data()),
-                           m.selectors.size());
-                return out;
-            },
-            [](const std::string &body, std::uint64_t &bytes_out)
-                    -> std::shared_ptr<const void> {
-                std::size_t at = 0;
-                expectTag(body, at, "STM1");
-                auto matrix =
-                        std::make_shared<sparse::StructuredMatrix>();
-                matrix->rows = getI64(body, at);
-                matrix->cols = getI64(body, at);
-                matrix->keepN = int(getI64(body, at));
-                matrix->groupM = int(getI64(body, at));
-                matrix->values = getDoubleVec(body, at);
-                std::size_t selectors = getCount(body, at, 1);
-                matrix->selectors.assign(
-                        reinterpret_cast<const std::uint8_t *>(
-                                body.data() + at),
-                        reinterpret_cast<const std::uint8_t *>(
-                                body.data() + at + selectors));
-                at += selectors;
-                expectEnd(body, at);
-                bytes_out = structuredBytes(*matrix);
-                return std::shared_ptr<const sparse::StructuredMatrix>(
-                        std::move(matrix));
-            },
-    };
-    return hooks;
-}
-
 WorkloadKey
 suiteSparseKey(const sparse::MatrixProfile &profile, std::uint64_t seed)
 {
@@ -404,8 +151,7 @@ cachedSuiteSparse(const sparse::MatrixProfile &profile, std::uint64_t seed)
 {
     return Cache::global().getOrCreate<sparse::CsrMatrix>(
             suiteSparseKey(profile, seed),
-            [&] { return sparse::synthesize(profile, seed); }, csrBytes,
-            &csrSpillHooks());
+            [&] { return sparse::synthesize(profile, seed); }, csrBytes);
 }
 
 std::shared_ptr<const std::vector<sparse::PartialMatrix>>
@@ -421,7 +167,7 @@ cachedOuterPartials(const sparse::MatrixProfile &profile,
                 return sparse::outerProductPartials(
                         sparse::csrToCsc(*matrix), *matrix);
             },
-            partialsBytes, &partialsSpillHooks());
+            partialsBytes);
 }
 
 std::shared_ptr<const sparse::StructuredMatrix>
@@ -440,7 +186,7 @@ cachedStructured(std::int64_t rows, std::int64_t cols, int keep_n,
                 return sparse::generateStructured(rng, rows, cols, keep_n,
                                                   group_m);
             },
-            structuredBytes, &structuredSpillHooks());
+            structuredBytes);
 }
 
 std::shared_ptr<const std::vector<sim::ScnnLayer>>
@@ -484,9 +230,6 @@ cacheStatsReport(const CacheStats &stats)
        << stats.entries << " entries, "
        << formatDouble(double(stats.bytes) / 1024.0, 1)
        << " KiB resident, " << stats.evictions << " evictions";
-    if (stats.spills > 0 || stats.reloads > 0)
-        os << ", " << stats.spills << " spilled, " << stats.reloads
-           << " reloaded";
     return os.str();
 }
 
@@ -500,8 +243,6 @@ cacheStatsJson(const CacheStats &stats)
     out += ",\"evictions\":" + std::to_string(stats.evictions);
     out += ",\"bytes\":" + std::to_string(stats.bytes);
     out += ",\"entries\":" + std::to_string(stats.entries);
-    out += ",\"spills\":" + std::to_string(stats.spills);
-    out += ",\"reloads\":" + std::to_string(stats.reloads);
     out += "}";
     return out;
 }

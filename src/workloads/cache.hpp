@@ -34,7 +34,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,10 +91,6 @@ struct CacheStats
     std::uint64_t bytes = 0;
     std::uint64_t entries = 0;
 
-    /** Disk-spill tier counters (0 unless Cache::setSpill configured a
-     *  directory). A reload is also counted as a hit. */
-    std::uint64_t spills = 0;
-    std::uint64_t reloads = 0;
 
     double
     hitRate() const
@@ -162,41 +157,6 @@ class Cache
     /** Clear contents *and* counters (test isolation). */
     void reset() { memo_.reset(); }
 
-    /**
-     * Configure the disk-spill tier (util::MemoCache::setSpill): LRU
-     * victims of spill-aware workloads serialize to checksummed files
-     * under `dir` and reload on miss, so an eviction storm degrades to
-     * warm-disk instead of re-synthesis. Empty `dir` disables;
-     * `disk_byte_budget` of 0 leaves the directory unbounded. Corrupt
-     * spill files are silently re-synthesized (treated as misses).
-     */
-    void
-    setSpill(const std::string &dir, std::uint64_t disk_byte_budget = 0)
-    {
-        {
-            std::lock_guard<std::mutex> lock(spillConfigMutex_);
-            spillDir_ = dir;
-            spillDiskBudget_ = disk_byte_budget;
-        }
-        memo_.setSpill(dir, disk_byte_budget);
-    }
-
-    /** The configured spill directory ("" when disabled). */
-    std::string
-    spillDir() const
-    {
-        std::lock_guard<std::mutex> lock(spillConfigMutex_);
-        return spillDir_;
-    }
-
-    /** The configured spill disk budget (0 = unbounded). */
-    std::uint64_t
-    spillDiskBudget() const
-    {
-        std::lock_guard<std::mutex> lock(spillConfigMutex_);
-        return spillDiskBudget_;
-    }
-
     CacheStats
     stats() const
     {
@@ -208,8 +168,6 @@ class Cache
         s.evictions = m.evictions;
         s.bytes = m.bytes;
         s.entries = m.entries;
-        s.spills = m.spills;
-        s.reloads = m.reloads;
         return s;
     }
 
@@ -217,15 +175,11 @@ class Cache
      * Return the cached payload for `key`, or synthesize it with
      * `make` (sized by `bytes_of`) and share it. With the cache
      * disabled every call synthesizes privately. The factory runs
-     * outside all cache locks and under WatchdogSuspend. Workloads
-     * that pass `spill` hooks participate in the disk-spill tier when
-     * one is configured (setSpill): their LRU victims serialize to
-     * disk and reload on miss instead of re-synthesizing.
+     * outside all cache locks and under WatchdogSuspend.
      */
     template <typename T, typename MakeFn, typename BytesFn>
     std::shared_ptr<const T>
-    getOrCreate(const WorkloadKey &key, MakeFn &&make, BytesFn &&bytes_of,
-                const util::SpillHooks *spill = nullptr)
+    getOrCreate(const WorkloadKey &key, MakeFn &&make, BytesFn &&bytes_of)
     {
         if (!enabled()) {
             util::WatchdogSuspend suspend;
@@ -234,7 +188,7 @@ class Cache
         const std::string canonical = key.canonical();
         const std::uint64_t hash = util::fnv1a(canonical);
         util::fault::checkpoint("cache.lookup");
-        if (auto resident = memo_.lookup(canonical, hash, spill))
+        if (auto resident = memo_.lookup(canonical, hash))
             return std::static_pointer_cast<const T>(resident);
         std::shared_ptr<T> made;
         {
@@ -249,7 +203,7 @@ class Cache
         util::fault::checkpoint("cache.insert");
         auto resident = memo_.insert(canonical, hash,
                                      std::shared_ptr<const void>(made),
-                                     bytes_of(*made), spill);
+                                     bytes_of(*made));
         return std::static_pointer_cast<const T>(resident);
     }
 
@@ -257,9 +211,6 @@ class Cache
     util::MemoCache memo_;
     std::atomic<bool> enabled_{true};
     std::atomic<bool> zeroBudget_{false};
-    mutable std::mutex spillConfigMutex_;
-    std::string spillDir_;
-    std::uint64_t spillDiskBudget_ = 0;
 };
 
 /**
@@ -296,17 +247,6 @@ std::shared_ptr<const std::vector<sim::ScnnLayer>> cachedAlexnetLayers();
 /** ResNet50 matmul layers, full or representative subset, memoized. */
 std::shared_ptr<const std::vector<MatmulLayer>>
 cachedResnetLayers(bool representative);
-
-/**
- * Spill (de)serializers for the three heavy synthesized payload
- * families (exact binary round-trip — a reloaded payload is
- * bit-identical to a fresh synthesis, which is what keeps bench stdout
- * byte-identical warm-disk vs. cold). Layer tables are cheap to
- * rebuild and deliberately have no hooks.
- */
-const util::SpillHooks &csrSpillHooks();
-const util::SpillHooks &partialsSpillHooks();
-const util::SpillHooks &structuredSpillHooks();
 
 /** One dseStatsReport-style summary line (no trailing newline). */
 std::string cacheStatsReport(const CacheStats &stats);

@@ -3,9 +3,10 @@
  * Contract tests for the elaboration-free analytic scoring tier.
  *
  * The tier's whole value rests on two properties, and both are pinned
- * here: (1) exactness — with an empty balancing spec the closed-form
- * AnalyticCostModel score is BIT-identical to the elaborated score for
- * every enumerated candidate, so the analytic-first top-K reproduces
+ * here: (1) exactness — the closed-form AnalyticCostModel score is
+ * BIT-identical to the elaborated score for every enumerated candidate
+ * (matmul, matadd, merge and 4-index conv specs, with and without
+ * sparsity), so the analytic-first top-K reproduces
  * the full exploration's top-K (and in particular always contains the
  * full-elaboration winner); (2) determinism — analytic-tier rankings
  * are byte-identical at any evaluation thread count and any
@@ -21,6 +22,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/analytic.hpp"
@@ -44,7 +46,8 @@ struct Scenario
     sparsity::SparsitySpec sparsity;
 };
 
-/** Seeded spec + bounds (+ occasional sparsity) combinations. */
+/** Seeded spec + bounds (+ occasional sparsity) combinations, then
+ *  three convolution kernels. */
 std::vector<Scenario>
 scenarios(int seeds)
 {
@@ -65,6 +68,15 @@ scenarios(int seeds)
                     1, s.spec.tensorIdByName("B"),
                     {func::makeIndexExpr(2), func::makeIndexExpr(1)}));
         }
+        result.push_back(std::move(s));
+    }
+    // The 4-index convolution: an iteration space wider than matmul's,
+    // with kernel-window reads the 3-index specs never exercise.
+    for (auto [kernel_h, kernel_w] :
+         {std::pair{1, 2}, std::pair{2, 2}, std::pair{3, 3}}) {
+        Scenario s{func::convSpec(kernel_h, kernel_w), {}, {}};
+        for (int i = 0; i < s.spec.numIndices(); i++)
+            s.bounds.push_back(2 + (kernel_h + i) % 2);
         result.push_back(std::move(s));
     }
     return result;
@@ -137,44 +149,49 @@ TEST(AnalyticCost, ScoreIsBitIdenticalToElaboratedScore)
 
 TEST(AnalyticTier, TopKEqualsFullExplorationTopK)
 {
-    constexpr std::size_t kKeep = 16;
+    // K = 3 also sends the small conv spaces (5 candidates) through
+    // the filter; K = 16 covers the wider matmul/matadd/merge spaces.
     model::AreaParams area_params;
     model::TimingParams timing_params;
-    for (const auto &scenario : scenarios(12)) {
-        auto options = baseOptions(scenario);
-        options.topK = kKeep;
-        accel::DseStats full_stats;
-        auto full = accel::exploreDataflows(scenario.spec, scenario.bounds,
-                                            options, area_params,
-                                            timing_params, &full_stats);
-        ASSERT_GT(full.size(), 0u);
+    for (std::size_t keep : {std::size_t(3), std::size_t(16)}) {
+        for (const auto &scenario : scenarios(12)) {
+            SCOPED_TRACE("K=" + std::to_string(keep) + " " +
+                         scenario.spec.name());
+            auto options = baseOptions(scenario);
+            options.topK = keep;
+            accel::DseStats full_stats;
+            auto full = accel::exploreDataflows(scenario.spec, scenario.bounds,
+                                                options, area_params,
+                                                timing_params, &full_stats);
+            ASSERT_GT(full.size(), 0u);
 
-        options.analyticTopK = kKeep;
-        accel::DseStats tier_stats;
-        auto tiered = accel::exploreDataflows(
-                scenario.spec, scenario.bounds, options, area_params,
-                timing_params, &tier_stats);
+            options.analyticTopK = keep;
+            accel::DseStats tier_stats;
+            auto tiered = accel::exploreDataflows(
+                    scenario.spec, scenario.bounds, options, area_params,
+                    timing_params, &tier_stats);
 
-        // Exact analytic scores make the filter lossless: the tiered
-        // ranking IS the full ranking, so in particular the top-K
-        // contains the full-elaboration winner.
-        expectSameCandidates(full, tiered);
-        ASSERT_GT(tiered.size(), 0u);
-        EXPECT_EQ(tiered.front().enumIndex, full.front().enumIndex);
-        EXPECT_EQ(tiered.front().score, full.front().score);
+            // Exact analytic scores make the filter lossless: the tiered
+            // ranking IS the full ranking, so in particular the top-K
+            // contains the full-elaboration winner.
+            expectSameCandidates(full, tiered);
+            ASSERT_GT(tiered.size(), 0u);
+            EXPECT_EQ(tiered.front().enumIndex, full.front().enumIndex);
+            EXPECT_EQ(tiered.front().score, full.front().score);
 
-        // Counter invariant with the analytic tier active.
-        EXPECT_EQ(tier_stats.evaluated + tier_stats.prunedEarly +
-                          tier_stats.analyticFiltered + tier_stats.failed,
-                  tier_stats.enumerated);
-        if (full_stats.enumerated > kKeep) {
-            EXPECT_EQ(tier_stats.analyticRanked, tier_stats.enumerated);
-            EXPECT_EQ(tier_stats.analyticFiltered,
-                      tier_stats.enumerated - kKeep);
-            EXPECT_EQ(tier_stats.evaluated + tier_stats.failed, kKeep);
-        } else {
-            EXPECT_EQ(tier_stats.analyticRanked, 0u);
-            EXPECT_EQ(tier_stats.analyticFiltered, 0u);
+            // Counter invariant with the analytic tier active.
+            EXPECT_EQ(tier_stats.evaluated + tier_stats.prunedEarly +
+                              tier_stats.analyticFiltered + tier_stats.failed,
+                      tier_stats.enumerated);
+            if (full_stats.enumerated > keep) {
+                EXPECT_EQ(tier_stats.analyticRanked, tier_stats.enumerated);
+                EXPECT_EQ(tier_stats.analyticFiltered,
+                          tier_stats.enumerated - keep);
+                EXPECT_EQ(tier_stats.evaluated + tier_stats.failed, keep);
+            } else {
+                EXPECT_EQ(tier_stats.analyticRanked, 0u);
+                EXPECT_EQ(tier_stats.analyticFiltered, 0u);
+            }
         }
     }
 }

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "util/failure.hpp"
 #include "util/fraction.hpp"
@@ -389,6 +390,41 @@ TEST(Strings, JoinIndentSanitize)
     EXPECT_TRUE(startsWith("stellar", "ste"));
     EXPECT_FALSE(startsWith("st", "ste"));
     EXPECT_EQ(toLower("AbC"), "abc");
+}
+
+TEST(Strings, ParseIntAcceptsWholeDecimalsInRange)
+{
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    EXPECT_EQ(parseInt("0", 0, 10), 0);
+    EXPECT_EQ(parseInt("10", 0, 10), 10);
+    EXPECT_EQ(parseInt("-3", -5, 5), -3);
+    EXPECT_EQ(parseInt("007", 0, 10), 7);
+    EXPECT_EQ(parseInt("3000000000", 1, kMax), 3000000000ll);
+    EXPECT_EQ(parseInt("9223372036854775807", kMin, kMax), kMax);
+    EXPECT_EQ(parseInt("-9223372036854775808", kMin, kMax), kMin);
+}
+
+TEST(Strings, ParseIntRejectsMalformedText)
+{
+    // What atoi would have read as 0 or as a prefix.
+    for (const char *text : {"", "abc", "-", "+4", " 4", "4 ", "4abc",
+                             "1/4", "0x10", "1e3", "2.5", "--1"})
+        EXPECT_EQ(parseInt(text, -100, 100), std::nullopt) << text;
+}
+
+TEST(Strings, ParseIntRejectsOutOfRangeValues)
+{
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    EXPECT_EQ(parseInt("0", 1, 10), std::nullopt);
+    EXPECT_EQ(parseInt("11", 1, 10), std::nullopt);
+    EXPECT_EQ(parseInt("-1", 0, kMax), std::nullopt);
+    EXPECT_EQ(parseInt("3000000000", 1,
+                       std::numeric_limits<int>::max()),
+              std::nullopt);
+    // Past int64 itself: an overflow, not a wrapped value.
+    EXPECT_EQ(parseInt("9223372036854775808", 0, kMax), std::nullopt);
+    EXPECT_EQ(parseInt("99999999999999999999999", 0, kMax), std::nullopt);
 }
 
 } // namespace
